@@ -694,27 +694,20 @@ int main(int argc, char** argv) {
   // readiness dispatch at a time — that pipelining wins even on a single
   // CPU, and on a multi-core ISM host the decode itself parallelizes too.
   bench::row("ingest sweep: 4 saturated sender processes, batch_records=256");
-  bench::row("%10s %16s %14s %16s", "poller", "reader_threads", "pump", "delivered(ev/s)");
+  bench::row("%10s %16s %16s", "poller", "reader_threads", "delivered(ev/s)");
   struct IngestConfig {
     net::PollerBackend poller;
     std::size_t readers;
-    bool readiness_pump = true;
   };
-  std::vector<IngestConfig> ingest_configs{
-      {net::PollerBackend::select, 0},       {net::PollerBackend::select, 4},
-      {net::PollerBackend::epoll, 0},        {net::PollerBackend::epoll, 4},
-      {net::PollerBackend::select, 0, false}, {net::PollerBackend::epoll, 0, false}};
-  if (net::uring_available()) {
-    ingest_configs.push_back({net::PollerBackend::uring, 0});
-    ingest_configs.push_back({net::PollerBackend::uring, 4});
-    ingest_configs.push_back({net::PollerBackend::uring, 0, false});
-  }
+  const IngestConfig ingest_configs[] = {{net::PollerBackend::select, 0},
+                                         {net::PollerBackend::select, 4},
+                                         {net::PollerBackend::epoll, 0},
+                                         {net::PollerBackend::epoll, 4}};
   for (IngestConfig cfg : ingest_configs) {
     auto manager_config = bench::bench_manager_config();
     manager_config.ism.sorter.max_pending = 1u << 22;
     manager_config.ism.poller = cfg.poller;
     manager_config.ism.reader_threads = cfg.readers;
-    manager_config.ism.readiness_pump = cfg.readiness_pump;
     auto manager = BriskManager::create(manager_config);
     if (!manager) return 1;
 
@@ -736,11 +729,9 @@ int main(int argc, char** argv) {
     const auto& ism_stats = manager.value()->ism().stats();
     const double rate =
         static_cast<double>(ism_stats.records_received) / (static_cast<double>(g_sweep_duration) / 1e6);
-    bench::row("%10s %16zu %14s %16.0f", net::to_string(cfg.poller), cfg.readers,
-               cfg.readiness_pump ? "readiness" : "walk", rate);
+    bench::row("%10s %16zu %16.0f", net::to_string(cfg.poller), cfg.readers, rate);
   }
   bench::row("shape check: threaded epoll >= single-threaded select on multi-core ISM hosts");
-  bench::row("shape check: readiness pump >= legacy walk (no per-cycle empty-outbox scan)");
 
   if (int rc = trace_overhead(1'000'000); rc != 0) return rc;
 

@@ -2,12 +2,10 @@
 # CI gate for BRISK. Twelve stages, any failure aborts the run:
 #   1. tier-1: release-ish build + the full ctest suite
 #   2. determinism + poller parity: the ingest/ordering determinism grid
-#      run explicitly — one test body covering {select, epoll, and uring
-#      when the kernel has io_uring} x reader threads x sorter shards
-#      {1,2,4}, asserting byte-identical sorted output with
-#      self-instrumentation enabled — plus the poller parity suite across
-#      the same backends. io_uring support is detected at runtime; without
-#      it the stage prints an explicit skip line and covers select + epoll
+#      run explicitly — one test body covering {select, epoll} x reader
+#      threads x sorter shards {1,2,4}, asserting byte-identical sorted
+#      output with self-instrumentation enabled — plus the poller parity
+#      suite across both backends
 #   3. bench smoke: a short saturated bench_throughput run with the sharded
 #      ordering pipeline (shards=2) plus the tracing-overhead check, and a
 #      bench_latency --smoke pass proving annotated records deliver —
@@ -50,11 +48,10 @@
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, reader migration,
-#      two-hop sync, metrics aggregation), the flight-recorder and
-#      health-rollup suites, and the io_uring poller suite — the
-#      cross-thread stats counters, the credit drained-record cells, the
-#      relay lane cells, and the gateway's fan-out thread must stay clean
-#      on the whole grid
+#      two-hop sync, metrics aggregation), and the flight-recorder and
+#      health-rollup suites — the cross-thread stats counters, the credit
+#      drained-record cells, the relay lane cells, and the gateway's
+#      fan-out thread must stay clean on the whole grid
 #
 # Usage: ./ci.sh [--skip-sanitize]
 set -euo pipefail
@@ -75,15 +72,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "==> [2/12] determinism grid + poller parity (all backends, shards 1/2/4, metrics on)"
-# The parity and determinism suites instantiate their uring cases at runtime
-# (net::uring_available()); probe the same detection here so the log says
-# explicitly which grid actually ran.
-if ./build/tests/poller_test --gtest_list_tests 2>/dev/null | grep -q 'uring'; then
-  echo "io_uring detected: parity + determinism grids include --poller uring"
-else
-  echo "skipped: no io_uring on this kernel (grids cover select + epoll only)"
-fi
+echo "==> [2/12] determinism grid + poller parity (select + epoll, shards 1/2/4, metrics on)"
 ctest --test-dir build --output-on-failure --no-tests=error \
   -R 'IsmIngestDeterminismTest|PollerTest'
 
@@ -514,6 +503,6 @@ echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation 
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|SinkRegistry|RelayFederation|ReaderMigration|FederatedSync|UringPoller|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
 
 echo "==> CI green"

@@ -50,9 +50,7 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("ring-bytes", 1 << 20, "per-ring capacity in bytes")
       .add_string("ism-host", "127.0.0.1", "ISM host to connect to")
       .add_int("ism-port", 0, "ISM port to connect to (required)")
-      .add_string("poller", "select",
-                  "readiness backend: select, epoll, or uring (falls back to "
-                  "epoll without io_uring)")
+      .add_string("poller", "select", "readiness backend: select or epoll")
       .add_int("batch-records", 256, "flush a batch after this many records")
       .add_int("batch-bytes", 32768, "flush a batch after this many bytes")
       .add_int("batch-age-us", 20'000, "flush a batch older than this")

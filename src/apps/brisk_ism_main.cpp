@@ -37,12 +37,7 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("output-ring-bytes", 1 << 20, "output ring capacity in bytes")
       .add_string("picl", "", "write a PICL trace file to this path")
       .add_bool("picl-utc", false, "stamp PICL lines with UTC micros")
-      .add_string("poller", "select",
-                  "readiness backend: select, epoll, or uring (falls back to "
-                  "epoll without io_uring)")
-      .add_bool("readiness-pump", true,
-                "pump connection outboxes on writable readiness instead of "
-                "walking every connection each cycle")
+      .add_string("poller", "select", "readiness backend: select or epoll")
       .add_int("ism-reader-threads", 0, "ingest reader threads (0 = single-threaded)")
       .add_int("ingest-queue-frames", 1024, "per-connection ingest queue depth (frames)")
       .add_int("ism-sorter-shards", 1, "ordering shards with a k-way merge (1 = inline)")
@@ -59,7 +54,7 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("cre-timeout-us", 1'000'000, "causal-relation hold timeout")
       .add_int("peer-idle-us", 30'000'000, "disconnect peers idle longer than this")
       .add_int("quarantine-us", 5'000'000, "session quarantine after unclean close")
-      .add_int("ack-period-us", 200'000, "batch acknowledgement period")
+      .add_int("ack-period-us", 200'000, "batch acknowledgement period (> 0)")
       .add_int("gap-skip-us", 1'000'000, "give up on a batch-sequence gap after this")
       .add_int("ism-credit-records", 0,
                "per-connection credit window in records (0 = no credit grants)")
@@ -121,7 +116,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.ism.poller = backend.value();
-  config.ism.readiness_pump = flags.flag("readiness-pump");
   config.ism.reader_threads = static_cast<std::size_t>(flags.num("ism-reader-threads"));
   config.ism.ingest_queue_frames = static_cast<std::size_t>(flags.num("ingest-queue-frames"));
   config.ism.sorter_shards = static_cast<std::size_t>(flags.num("ism-sorter-shards"));
@@ -168,8 +162,15 @@ int main(int argc, char** argv) {
   config.ism.enable_sync = flags.flag("sync");
   config.ism.sync.period_us = flags.num("sync-period-us");
   const std::string algorithm = flags.str("sync-algorithm");
-  config.ism.sync.algorithm =
-      algorithm == "cristian" ? clk::SyncAlgorithm::cristian : clk::SyncAlgorithm::brisk;
+  if (algorithm == "brisk") {
+    config.ism.sync.algorithm = clk::SyncAlgorithm::brisk;
+  } else if (algorithm == "cristian") {
+    config.ism.sync.algorithm = clk::SyncAlgorithm::cristian;
+  } else {
+    std::fprintf(stderr, "brisk_ism: --sync-algorithm: unknown algorithm '%s' (brisk|cristian)\n",
+                 algorithm.c_str());
+    return 2;
+  }
   const long long consumer_port = flags.num("consumer-port");
   config.gateway.tcp_enabled = consumer_port >= 0;
   config.gateway.consumer_port = static_cast<std::uint16_t>(consumer_port < 0 ? 0 : consumer_port);
@@ -207,6 +208,11 @@ int main(int argc, char** argv) {
   Status plan_ok = fault_plan.validate();
   if (!plan_ok) {
     std::fprintf(stderr, "brisk_ism: %s\n", plan_ok.to_string().c_str());
+    return 2;
+  }
+  Status config_ok = config.validate();
+  if (!config_ok) {
+    std::fprintf(stderr, "brisk_ism: %s\n", config_ok.to_string().c_str());
     return 2;
   }
 

@@ -26,8 +26,12 @@ bool parse_agg_node_watermark(const std::string& name, NodeId& node) {
   return true;
 }
 
+/// Series counting records lost for good. The ISM's *_batches_dropped
+/// counters name batches go-back-N resolves without loss (replays already
+/// applied, and batches above a hole that the EXS resends), so they are not
+/// drops here.
 bool is_drop_series(const std::string& name) {
-  return name.find("drop") != std::string::npos;
+  return name.find("drop") != std::string::npos && !name.ends_with("_batches_dropped");
 }
 
 }  // namespace

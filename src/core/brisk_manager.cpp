@@ -61,6 +61,14 @@ Result<std::unique_ptr<BriskManager>> BriskManager::create(const ManagerConfig& 
   return manager;
 }
 
+BriskManager::~BriskManager() {
+  // The gateway's fan-out thread and the relay's egress thread record into
+  // ism_'s flight recorder, and ism_ co-owns the gateway, so member order
+  // alone cannot end them first: join them while the recorder is alive.
+  if (gateway_) gateway_->stop_fanout();
+  if (relay_) relay_->stop();
+}
+
 Result<consumers::ShmConsumer> BriskManager::make_consumer() {
   // Re-attach so the consumer has its own cursor view... the ring is SPSC:
   // the single consumer is whoever reads; multiple consumers would race.

@@ -26,6 +26,10 @@ class BriskManager {
   static Result<std::unique_ptr<BriskManager>> create(
       const ManagerConfig& config, clk::Clock& clock = clk::SystemClock::instance());
 
+  ~BriskManager();
+  BriskManager(const BriskManager&) = delete;
+  BriskManager& operator=(const BriskManager&) = delete;
+
   /// Registers an extra output path as an unfiltered gateway subscriber
   /// (e.g. a vo::VoSink) under its own name(). Fails on a duplicate name.
   Status add_sink(std::shared_ptr<ism::Sink> sink) {

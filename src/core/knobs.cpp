@@ -52,8 +52,9 @@ Status ManagerConfig::validate() const {
   if (ism.quarantine_timeout_us < 0) {
     return Status(Errc::invalid_argument, "negative ism.quarantine_timeout_us");
   }
-  if (ism.ack_period_us < 0) {
-    return Status(Errc::invalid_argument, "negative ism.ack_period_us");
+  if (ism.ack_period_us <= 0) {
+    return Status(Errc::invalid_argument,
+                  "ism.ack_period_us must be > 0, got " + std::to_string(ism.ack_period_us));
   }
   if (ism.gap_skip_timeout_us < 0) {
     return Status(Errc::invalid_argument, "negative ism.gap_skip_timeout_us");
@@ -124,7 +125,6 @@ std::string describe(const ManagerConfig& config) {
   line(out, "ism.port", static_cast<long long>(config.ism.port));
   line(out, "ism.select_timeout_us", static_cast<long long>(config.ism.select_timeout_us));
   line(out, "ism.poller", std::string(net::to_string(config.ism.poller)));
-  line(out, "ism.readiness_pump", static_cast<long long>(config.ism.readiness_pump ? 1 : 0));
   line(out, "ism.outbox_stall_timeout_us",
        static_cast<long long>(config.ism.outbox_stall_timeout_us));
   line(out, "ism.reader_threads", static_cast<long long>(config.ism.reader_threads));

@@ -1,15 +1,12 @@
-// Flow control and drop accounting.
+// Ingress flow control.
 //
 // Fig. 1 shows both a data-flow and a control-flow path between the EXS and
 // the ISM, and an "event dropping" stage at the ISM: when the target system
 // out-produces the IS, BRISK sheds load explicitly and accounts for it
 // rather than stalling the target ("large volumes of instrumentation data
 // [may] monopolize IS resources"). TokenBucket is the rate limiter the ISM
-// can apply per connection; DropAccounting aggregates every place a record
-// can be lost so consumers can see a complete loss picture.
+// can apply per connection.
 #pragma once
-
-#include <cstdint>
 
 #include "common/types.hpp"
 
@@ -51,18 +48,6 @@ class TokenBucket {
   double tokens_;
   TimeMicros last_refill_ = 0;
   bool primed_ = false;
-};
-
-/// Where records can be lost between the NOTICE call and the consumer.
-struct DropAccounting {
-  std::uint64_t ring_drops = 0;       // sensor ring full (reported by EXSes)
-  std::uint64_t flow_control_drops = 0;  // ISM token bucket rejected
-  std::uint64_t sorter_drops = 0;     // sorter overflow policy discarded
-  std::uint64_t cre_timeouts = 0;     // held consequences released unmatched
-
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return ring_drops + flow_control_drops + sorter_drops + cre_timeouts;
-  }
 };
 
 }  // namespace brisk::ism

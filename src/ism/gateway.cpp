@@ -68,12 +68,13 @@ Result<std::shared_ptr<ConsumerGateway>> ConsumerGateway::create(const GatewayCo
   return gateway;
 }
 
-ConsumerGateway::~ConsumerGateway() {
-  if (tcp_running_.load(std::memory_order_acquire)) {
-    stop_.store(true, std::memory_order_release);
-    wakeup_.signal();
-    if (fanout_thread_.joinable()) fanout_thread_.join();
-  }
+ConsumerGateway::~ConsumerGateway() { stop_fanout(); }
+
+void ConsumerGateway::stop_fanout() noexcept {
+  if (!tcp_running_.exchange(false, std::memory_order_acq_rel)) return;
+  stop_.store(true, std::memory_order_release);
+  wakeup_.signal();
+  if (fanout_thread_.joinable()) fanout_thread_.join();
 }
 
 // ---- pipeline-facing Sink ----------------------------------------------------

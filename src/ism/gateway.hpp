@@ -130,6 +130,10 @@ class ConsumerGateway final : public Sink {
 
   static Result<std::shared_ptr<ConsumerGateway>> create(const GatewayConfig& config);
   ~ConsumerGateway() override;
+  /// Stops and joins the TCP fan-out thread (idempotent; the destructor
+  /// calls it). An owner whose flight recorder (see set_flight_recorder)
+  /// dies before the gateway calls this first.
+  void stop_fanout() noexcept;
   ConsumerGateway(const ConsumerGateway&) = delete;
   ConsumerGateway& operator=(const ConsumerGateway&) = delete;
 

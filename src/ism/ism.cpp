@@ -97,6 +97,7 @@ void Ism::register_metrics() {
     b.counter("ism.pipeline.submitted", p.submitted);
     b.counter("ism.pipeline.merged", p.merged);
     b.counter("ism.pipeline.merge_inversions", p.merge_inversions);
+    b.counter("ism.pipeline.merge_runs", p.merge_runs);
     b.counter("ism.pipeline.submit_stalls", p.submit_stalls);
     b.counter("ism.pipeline.oob_records", p.oob_records);
 
@@ -112,11 +113,18 @@ void Ism::register_metrics() {
     for (std::size_t i = 0; i < depths.size(); ++i) {
       b.gauge("ism.sorter.shard" + std::to_string(i) + ".depth", depths[i]);
     }
+    // Each shard's current delay window T (adaptive: raised by observed
+    // lateness, decayed over quiet periods).
+    const std::vector<TimeMicros> frames = pipeline_->shard_frames();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      b.gauge("ism.sorter.shard" + std::to_string(i) + ".frame_us",
+              static_cast<std::uint64_t>(frames[i]));
+    }
 
     // The disorder substrate for adaptive delay-window policies: how far
     // behind the emitted frontier late records land, and how many there
     // were. Zero buckets are skipped — bucket samples are self-describing.
-    b.counter("sort.late_drops", so.late_drops);
+    b.counter("sort.late_records", so.late_records);
     auto emit_disorder = [&b](const std::string& base, const metrics::Histogram& h) {
       for (std::size_t i = 0; i < metrics::Histogram::kBucketCount; ++i) {
         const std::uint64_t count = h.bucket_count_at(i);
@@ -186,11 +194,18 @@ IsmStats Ism::stats() const noexcept {
 Ism::~Ism() {
   // Readers must die before connections_: they hold raw fds into it.
   for (auto& reader : readers_) reader->stop_and_join();
+  // Pipeline threads call back into this object (sink delivery, drained
+  // counters, latency histograms, flight recorder): join them before any
+  // of those members is destroyed.
+  pipeline_.reset();
 }
 
 Result<std::unique_ptr<Ism>> Ism::start(const IsmConfig& config, clk::Clock& clock,
                                         std::shared_ptr<Sink> output) {
   if (!output) return Status(Errc::invalid_argument, "null output sink");
+  if (config.ack_period_us <= 0) {
+    return Status(Errc::invalid_argument, "ack_period_us must be > 0");
+  }
   auto listener = net::TcpListener::listen(config.port);
   if (!listener) return listener.status();
   Status st = listener.value().set_nonblocking(true);
@@ -299,7 +314,6 @@ void Ism::on_connection_writable(int fd) {
 }
 
 void Ism::update_write_interest(int fd, Connection& conn) {
-  if (!config_.readiness_pump) return;  // legacy: idle-cycle walk pumps
   const bool want = !conn.outbox.empty() && !conn.closing;
   if (want == conn.want_writable) return;
   conn.want_writable = want;
@@ -312,7 +326,7 @@ void Ism::update_write_interest(int fd, Connection& conn) {
                                [this](int ready_fd, net::Readiness) {
                                  on_connection_writable(ready_fd);
                                });
-      if (!st) conn.want_writable = false;  // idle pump is the fallback
+      if (!st) conn.want_writable = false;  // the next send_frame retries
     } else {
       (void)loop_->unwatch(fd);
     }
@@ -606,17 +620,6 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
 }
 
 bool Ism::admit_batch_seq(const Connection& conn, NodeSession& session, std::uint32_t seq) {
-  if (!resilient()) {
-    // v1-style accounting: every discontinuity is an immediately declared
-    // gap and the cursor follows the sender.
-    if (seq != session.next_batch_seq) {
-      bump(stats_.batch_seq_gaps);
-      BRISK_LOG_WARN << "node " << conn.node << " batch seq gap: expected "
-                     << session.next_batch_seq << ", got " << seq;
-    }
-    session.next_batch_seq = seq + 1;
-    return true;
-  }
   if (seq == session.next_batch_seq) {
     session.next_batch_seq = seq + 1;
     session.hole_since = 0;
@@ -748,7 +751,6 @@ void Ism::idle_work() {
   maybe_emit_metrics();
   pipeline_->service();
   session_sweep();
-  pump_outboxes();
   if (extra_sync_requested_.exchange(false, std::memory_order_acq_rel) && sync_service_) {
     sync_service_->request_extra_round();
   }
@@ -833,26 +835,6 @@ void Ism::emit_metrics_snapshot() {
                                             timestamp, event.kind, event.subject,
                                             event.value, event.at));
   }
-}
-
-void Ism::pump_outboxes() {
-  // Readiness-driven mode: connections with deferred bytes hold a writable
-  // subscription and pump from on_connection_writable, so the idle cycle
-  // has no per-connection outbox work at all — this walk only exists for
-  // the legacy mode (and the bench comparison against it).
-  if (config_.readiness_pump) return;
-  std::vector<int> failed;
-  for (auto& [fd, conn] : connections_) {
-    if (conn.outbox.empty() || conn.closing) continue;
-    Status st = conn.outbox.pump(conn.socket);
-    if (!st && send_failure_is_fatal(conn, st)) {
-      BRISK_LOG_WARN << "outbox to node " << conn.node << " failed: " << st.to_string();
-      failed.push_back(fd);
-      continue;
-    }
-    if (conn.outbox.empty()) conn.outbox_full_since = 0;
-  }
-  for (int fd : failed) close_connection(fd);
 }
 
 Status Ism::send_frame(Connection& conn, ByteSpan payload) {
@@ -972,40 +954,38 @@ void Ism::session_sweep() {
   // Periodic BATCH_ACKs to every live session: they trim the EXS replay
   // buffers, double as an ISM-is-alive signal, and a repeated cursor is
   // what triggers the EXS's go-back-N resend.
-  if (resilient()) {
-    std::vector<int> failed;
-    for (auto& [fd, conn] : connections_) {
-      if (!conn.hello_seen || conn.closing) continue;
-      TimeMicros period = config_.ack_period_us;
-      if (credits_enabled() && config_.credit_replenish_us > 0 &&
-          config_.credit_replenish_us < period &&
-          conn.version >= tp::kCreditProtocolVersion) {
-        // A below-full grant means the node has in-pipeline backlog — its
-        // EXS may be window-stalled right now, and the re-grant on the next
-        // ack is the only thing that reopens it. Ack faster until the
-        // window is back to full.
-        const auto sit = sessions_.find(conn.node);
-        if (sit != sessions_.end() &&
-            sit->second.last_granted_records < config_.credit_window_records) {
-          period = config_.credit_replenish_us;
-        }
-      }
-      if (now - conn.last_ack_sent_us < period) continue;
-      Status st = send_ack(conn, tp::MsgType::batch_ack);
-      if (!st && send_failure_is_fatal(conn, st)) {
-        // A genuine socket error, or the outbox has been wedged at its cap
-        // past the stall grace period. Acks are cumulative, so a transient
-        // buffer_full just skips this ack — the next sweep retries against
-        // an outbox the writable pump has meanwhile drained. Only a peer
-        // that stays wedged (or a dead socket) is dropped; the EXS's
-        // reconnect + replay recovers cleanly.
-        BRISK_LOG_WARN << "batch_ack to node " << conn.node
-                       << " failed: " << st.to_string();
-        failed.push_back(fd);
+  std::vector<int> failed;
+  for (auto& [fd, conn] : connections_) {
+    if (!conn.hello_seen || conn.closing) continue;
+    TimeMicros period = config_.ack_period_us;
+    if (credits_enabled() && config_.credit_replenish_us > 0 &&
+        config_.credit_replenish_us < period &&
+        conn.version >= tp::kCreditProtocolVersion) {
+      // A below-full grant means the node has in-pipeline backlog — its
+      // EXS may be window-stalled right now, and the re-grant on the next
+      // ack is the only thing that reopens it. Ack faster until the
+      // window is back to full.
+      const auto sit = sessions_.find(conn.node);
+      if (sit != sessions_.end() &&
+          sit->second.last_granted_records < config_.credit_window_records) {
+        period = config_.credit_replenish_us;
       }
     }
-    for (int fd : failed) close_connection(fd);
+    if (now - conn.last_ack_sent_us < period) continue;
+    Status st = send_ack(conn, tp::MsgType::batch_ack);
+    if (!st && send_failure_is_fatal(conn, st)) {
+      // A genuine socket error, or the outbox has been wedged at its cap
+      // past the stall grace period. Acks are cumulative, so a transient
+      // buffer_full just skips this ack — the next sweep retries against
+      // an outbox the writable pump has meanwhile drained. Only a peer
+      // that stays wedged (or a dead socket) is dropped; the EXS's
+      // reconnect + replay recovers cleanly.
+      BRISK_LOG_WARN << "batch_ack to node " << conn.node
+                     << " failed: " << st.to_string();
+      failed.push_back(fd);
+    }
   }
+  for (int fd : failed) close_connection(fd);
 
   // Reader drained-record rates decay by half every period, so placement
   // follows recent traffic and an old burst cannot pin a reader forever.
@@ -1043,10 +1023,7 @@ void Ism::maybe_migrate_connection(TimeMicros now) {
     return;
   }
   if (++imbalance_streak_ < kSustainedImbalancePeriods) return;
-  if (config_.ack_period_us > 0 && last_migration_us_ != 0 &&
-      now - last_migration_us_ < config_.ack_period_us) {
-    return;
-  }
+  if (last_migration_us_ != 0 && now - last_migration_us_ < config_.ack_period_us) return;
   std::vector<std::pair<int, double>> candidates;
   for (const auto& [fd, conn] : connections_) {
     if (conn.reader_index != plan.from || !conn.lane || conn.closing ||

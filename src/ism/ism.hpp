@@ -47,12 +47,6 @@ struct IsmConfig {
   TimeMicros select_timeout_us = 40'000;
   /// Poller backend for the main loop and any reader threads.
   net::PollerBackend poller = net::PollerBackend::select;
-  /// Readiness-driven outbox pumping: a connection subscribes to
-  /// Readiness::writable only while its outbox holds deferred bytes (the
-  /// same want-writable toggling the consumer gateway does), so idle cycles
-  /// do no per-connection outbox work at all. false restores the legacy
-  /// walk-every-connection pump on every idle cycle (bench comparison).
-  bool readiness_pump = true;
   /// How long a connection may sit with its outbox at the cap
   /// (Errc::buffer_full on sends) before it is reaped. An overloaded but
   /// alive peer that starts reading again within the grace period keeps its
@@ -107,10 +101,8 @@ struct IsmConfig {
   /// of band and the session forgotten, so a later reconnect starts clean.
   /// 0 expires immediately on disconnect.
   TimeMicros quarantine_timeout_us = 5'000'000;
-  /// BATCH_ACK cadence towards each connected EXS. Acks drive the EXS's
-  /// replay-buffer trimming and its go-back-N resend on loss. 0 disables
-  /// acks and with them the dedupe/hole handling (legacy v1-style gap
-  /// accounting applies instead).
+  /// BATCH_ACK cadence towards each connected EXS (must be > 0). Acks drive
+  /// the EXS's replay-buffer trimming and its go-back-N resend on loss.
   TimeMicros ack_period_us = 200'000;
   /// A batch-sequence hole older than this is declared lost (counted in
   /// batch_seq_gaps) and the cursor jumps forward — the EXS evicted the
@@ -231,9 +223,9 @@ class Ism {
     /// frame instead of tearing it mid-write (the EXS-side equivalent is
     /// the replay buffer + reconnect).
     net::FrameSendBuffer outbox;
-    /// Whether this connection currently subscribes to Readiness::writable
-    /// (readiness_pump mode): toggled on when the outbox defers bytes,
-    /// off once it drains — same pattern as the gateway's subscriptions.
+    /// Whether this connection currently subscribes to Readiness::writable:
+    /// toggled on when the outbox defers bytes, off once it drains — same
+    /// pattern as the gateway's subscriptions.
     bool want_writable = false;
     /// Monotonic time the outbox first rejected a frame (Errc::buffer_full);
     /// 0 while the peer keeps up. A stall past outbox_stall_timeout_us is
@@ -325,10 +317,10 @@ class Ism {
   /// Installs the poller registration for an inline-mode connection with
   /// the interest matching its current want_writable state.
   Status watch_connection(int fd);
-  /// Reconciles the connection's poller subscription with its outbox state
-  /// (readiness_pump mode; no-op otherwise). Inline mode upserts the
-  /// combined readable[|writable] interest on the main loop; threaded mode
-  /// adds/removes a writable-only watch (the reader threads own readable).
+  /// Reconciles the connection's poller subscription with its outbox state.
+  /// Inline mode upserts the combined readable[|writable] interest on the
+  /// main loop; threaded mode adds/removes a writable-only watch (the
+  /// reader threads own readable).
   void update_write_interest(int fd, Connection& conn);
   /// Classifies a failed send/pump: true for genuine socket errors and for
   /// buffer_full stalls that have outlived the grace period; false for a
@@ -361,7 +353,7 @@ class Ism {
   Status send_frame(Connection& conn, ByteSpan payload);
   // --- credit-based flow control ---------------------------------------------
   [[nodiscard]] bool credits_enabled() const noexcept {
-    return config_.credit_window_records > 0 && resilient();
+    return config_.credit_window_records > 0;
   }
   /// The grant appended to an ack: configured window minus the node's
   /// in-pipeline backlog (clamped at zero — never a negative window).
@@ -378,10 +370,6 @@ class Ism {
   /// reader's `closed` event (see ingest.hpp's fd ownership protocol).
   void close_connection(int fd);
   void finish_close(int fd);
-  /// Flushes pending outbound bytes on every connection; a connection whose
-  /// outbox fails (peer stopped reading past the cap, or a real I/O error)
-  /// is torn down — the EXS's reconnect + replay covers the loss.
-  void pump_outboxes();
   /// Emits the periodic one-line stats log when --stats-interval is on.
   /// Composed from the metrics snapshot (the log is just another consumer).
   void maybe_log_stats();
@@ -398,7 +386,6 @@ class Ism {
   void process_ingest_event(int fd, IngestEvent event);
   /// fd of the index-th connected node (ordered by node id), or -1.
   int node_fd_by_index(std::size_t index) const;
-  [[nodiscard]] bool resilient() const noexcept { return config_.ack_period_us > 0; }
 
   IsmConfig config_;
   clk::Clock& clock_;

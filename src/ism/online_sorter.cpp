@@ -34,7 +34,7 @@ Status OnlineSorter::push(sensors::Record record) {
     // Already behind the emitted frontier: no delay window can reorder this
     // record any more, so it is a late arrival the current T failed to
     // absorb (it still gets emitted, just out of order).
-    ++stats_.late_drops;
+    ++stats_.late_records;
   }
   const NodeId node = record.node;
   it->second->push(std::move(record), clock_.now());

@@ -62,7 +62,7 @@ struct SorterStats {
   /// window T was too small to reorder them, so they left (or will leave)
   /// the sorter out of order. This is the reordering-loss rate an adaptive
   /// buffer-sizing policy trades against latency.
-  std::uint64_t late_drops = 0;
+  std::uint64_t late_records = 0;
 };
 
 class OnlineSorter {

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/logging.hpp"
-
 namespace brisk::ism {
 
 Result<ByteBuffer> encode_output_record(const sensors::Record& record) {
@@ -33,101 +31,6 @@ Status ShmSink::accept(const sensors::Record& record) {
   }
   delivered_.fetch_add(1, std::memory_order_relaxed);
   return Status::ok();
-}
-
-Status SinkRegistry::add(std::shared_ptr<Sink> sink) {
-  if (!sink) return Status(Errc::invalid_argument, "null sink");
-  std::string name = sink->name();
-  return add(std::move(name), std::move(sink));
-}
-
-Status SinkRegistry::add(std::string name, std::shared_ptr<Sink> sink) {
-  if (!sink) return Status(Errc::invalid_argument, "null sink");
-  if (name.empty()) return Status(Errc::invalid_argument, "empty sink name");
-  std::lock_guard<std::mutex> lk(mutation_mutex_);
-  const auto current = snapshot();
-  for (const auto& entry : *current) {
-    if (entry.name == name) {
-      return Status(Errc::already_exists, "sink '" + name + "' already registered");
-    }
-  }
-  auto next = std::make_shared<EntryList>(*current);
-  next->push_back(Entry{std::move(name), std::move(sink)});
-  std::atomic_store_explicit(&sinks_, std::shared_ptr<const EntryList>(std::move(next)),
-                             std::memory_order_release);
-  return Status::ok();
-}
-
-bool SinkRegistry::remove(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mutation_mutex_);
-  const auto current = snapshot();
-  auto next = std::make_shared<EntryList>();
-  next->reserve(current->size());
-  bool removed = false;
-  for (const auto& entry : *current) {
-    if (!removed && entry.name == name) {
-      removed = true;
-      continue;
-    }
-    next->push_back(entry);
-  }
-  if (!removed) return false;
-  std::atomic_store_explicit(&sinks_, std::shared_ptr<const EntryList>(std::move(next)),
-                             std::memory_order_release);
-  return true;
-}
-
-std::shared_ptr<Sink> SinkRegistry::find(const std::string& name) const {
-  const auto current = snapshot();
-  for (const auto& entry : *current) {
-    if (entry.name == name) return entry.sink;
-  }
-  return nullptr;
-}
-
-Status SinkRegistry::accept(const sensors::Record& record) {
-  const auto current = snapshot();
-  Status first_error = Status::ok();
-  for (const auto& entry : *current) {
-    Status st = entry.sink->accept(record);
-    if (!st && first_error.is_ok()) first_error = st;
-  }
-  return first_error;
-}
-
-Status SinkRegistry::flush() {
-  const auto current = snapshot();
-  Status first_error = Status::ok();
-  for (const auto& entry : *current) {
-    Status st = entry.sink->flush();
-    if (!st && first_error.is_ok()) first_error = st;
-  }
-  return first_error;
-}
-
-void SinkRegistry::tick(TimeMicros watermark) {
-  const auto current = snapshot();
-  for (const auto& entry : *current) entry.sink->tick(watermark);
-}
-
-Status SinkRegistry::drain() {
-  const auto current = snapshot();
-  Status first_error = Status::ok();
-  for (const auto& entry : *current) {
-    Status st = entry.sink->drain();
-    if (!st && first_error.is_ok()) first_error = st;
-  }
-  return first_error;
-}
-
-std::size_t SinkRegistry::sink_count() const { return snapshot()->size(); }
-
-std::vector<std::string> SinkRegistry::names() const {
-  const auto current = snapshot();
-  std::vector<std::string> out;
-  out.reserve(current->size());
-  for (const auto& entry : *current) out.push_back(entry.name);
-  return out;
 }
 
 }  // namespace brisk::ism

@@ -5,14 +5,13 @@
 // writing to memory, the BRISK ISM may log instrumentation data to trace
 // files in the PICL ASCII format, or it may pass instrumentation data to a
 // list of CORBA-enabled visual objects." All three output paths implement
-// the one Sink interface; SinkRegistry holds the registered set and fans
-// every sorted record out to it.
+// the one Sink interface; the ConsumerGateway (ism/gateway.hpp) fans every
+// sorted record out to any number of them.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -40,7 +39,7 @@ class Sink {
   /// all deferred work (close aggregation windows, flush fan-out queues to
   /// connected consumers) before the process exits. Defaults to flush().
   virtual Status drain() { return flush(); }
-  /// Stable identifier for diagnostics and registry lookups.
+  /// Stable identifier for diagnostics.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
@@ -99,55 +98,6 @@ class CallbackSink final : public Sink {
 
  private:
   Fn fn_;
-};
-
-/// The registered set of output paths. Itself a Sink, so the pipeline talks
-/// to exactly one object no matter how many outputs are attached. A failing
-/// sink is reported but does not stop delivery to the others.
-///
-/// Mutation is safe against concurrent delivery: add()/remove() swap in a
-/// new copy of the sink list under a mutex while accept()/flush()/tick()
-/// read an atomic snapshot — the merger thread never iterates a vector a
-/// remove() is erasing from. A removed sink may still receive the records
-/// of one in-flight accept() (delivery holds the old snapshot alive), so
-/// removal is "no new records", not a synchronous barrier.
-///
-/// New code should prefer the ConsumerGateway (ism/gateway.hpp), which
-/// layers per-subscriber filters, bounded queues, and TCP fan-out over the
-/// same contract; this registry remains for simple all-records fan-out.
-class SinkRegistry final : public Sink {
- public:
-  /// Registers under the sink's own name(). Fails on a duplicate name.
-  Status add(std::shared_ptr<Sink> sink);
-  /// Registers under an explicit name (several sinks of one kind).
-  Status add(std::string name, std::shared_ptr<Sink> sink);
-  /// Unregisters; false if no sink has that name.
-  bool remove(const std::string& name);
-  [[nodiscard]] std::shared_ptr<Sink> find(const std::string& name) const;
-
-  Status accept(const sensors::Record& record) override;
-  Status flush() override;
-  void tick(TimeMicros watermark) override;
-  Status drain() override;
-  [[nodiscard]] const char* name() const noexcept override { return "registry"; }
-
-  [[nodiscard]] std::size_t sink_count() const;
-  [[nodiscard]] std::vector<std::string> names() const;
-
- private:
-  struct Entry {
-    std::string name;
-    std::shared_ptr<Sink> sink;
-  };
-  using EntryList = std::vector<Entry>;  // delivery order = registration order
-
-  /// The delivery threads' view: lock-free atomic load of the current list.
-  [[nodiscard]] std::shared_ptr<const EntryList> snapshot() const {
-    return std::atomic_load_explicit(&sinks_, std::memory_order_acquire);
-  }
-
-  mutable std::mutex mutation_mutex_;  // serializes add()/remove()
-  std::shared_ptr<const EntryList> sinks_ = std::make_shared<EntryList>();
 };
 
 /// Encodes a record (with its node id prefix) as placed in the output ring.

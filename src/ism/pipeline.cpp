@@ -635,7 +635,7 @@ SorterStats OrderingPipeline::sorter_stats() const {
     total.overflow_drops += s.overflow_drops;
     if (s.max_lateness_us > total.max_lateness_us) total.max_lateness_us = s.max_lateness_us;
     total.total_delay_us += s.total_delay_us;
-    total.late_drops += s.late_drops;
+    total.late_records += s.late_records;
   }
   return total;
 }

@@ -70,7 +70,9 @@ RelayEgress::RelayEgress(const RelayConfig& config, clk::Clock& clock, net::TcpS
                  static_cast<std::uint64_t>(config.relay_node) ^ config.incarnation),
       aggregator_(config.relay_node, config.metrics_flush_period_us) {}
 
-RelayEgress::~RelayEgress() {
+RelayEgress::~RelayEgress() { stop(); }
+
+void RelayEgress::stop() noexcept {
   stop_.store(true, std::memory_order_relaxed);
   if (thread_.joinable()) thread_.join();
 }
@@ -100,8 +102,7 @@ Status RelayEgress::drain() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const bool clean = drained_.load(std::memory_order_relaxed);
-  stop_.store(true, std::memory_order_relaxed);
-  if (thread_.joinable()) thread_.join();
+  stop();
   if (!clean) {
     return Status(Errc::timeout, "relay egress drain timed out with batches unacked");
   }

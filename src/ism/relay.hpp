@@ -128,6 +128,9 @@ class RelayEgress final : public Sink {
                                                       clk::Clock& clock);
 
   ~RelayEgress() override;
+  /// Stops and joins the egress thread (idempotent; the destructor calls
+  /// it). Records accepted afterwards are dropped.
+  void stop() noexcept;
 
   // --- Sink interface (pipeline delivery thread) -----------------------------
   Status accept(const sensors::Record& record) override;

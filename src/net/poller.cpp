@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/logging.hpp"
 #include "common/time_util.hpp"
 
 namespace brisk::net {
@@ -204,35 +203,15 @@ Result<int> EpollPoller::poll_once(TimeMicros timeout) {
 Result<PollerBackend> parse_poller_backend(std::string_view name) {
   if (name == "select") return PollerBackend::select;
   if (name == "epoll") return PollerBackend::epoll;
-  if (name == "uring") return PollerBackend::uring;
-  return Status(Errc::invalid_argument, "unknown poller backend '" + std::string(name) +
-                                            "' (select|epoll|uring)");
+  return Status(Errc::invalid_argument,
+                "unknown poller backend '" + std::string(name) + "' (select|epoll)");
 }
 
 const char* to_string(PollerBackend backend) noexcept {
-  switch (backend) {
-    case PollerBackend::epoll: return "epoll";
-    case PollerBackend::uring: return "uring";
-    case PollerBackend::select: break;
-  }
-  return "select";
+  return backend == PollerBackend::epoll ? "epoll" : "select";
 }
 
 std::unique_ptr<Poller> make_poller(PollerBackend backend) {
-  if (backend == PollerBackend::uring) {
-    // Graceful degradation: requesting uring on a kernel without it (or
-    // under a seccomp policy that denies the syscalls) silently runs epoll
-    // instead, so one deployment config works across mixed fleets. Logged
-    // once so operators can tell which backend actually serves.
-    if (auto poller = make_uring_poller()) return poller;
-    static const bool logged = [] {
-      BRISK_LOG(warn) << "io_uring unavailable (ENOSYS/EPERM or missing features); "
-                         "--poller uring falling back to epoll";
-      return true;
-    }();
-    (void)logged;
-    return std::make_unique<EpollPoller>();
-  }
   if (backend == PollerBackend::epoll) return std::make_unique<EpollPoller>();
   return std::make_unique<SelectPoller>();
 }

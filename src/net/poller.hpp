@@ -10,11 +10,7 @@
 //    latency experiments model.
 //  * EpollPoller — a level-triggered epoll(7) backend with no fd cap and
 //    O(ready) dispatch, the backend for "hundreds of EXS nodes" at one ISM.
-//  * UringPoller — an io_uring backend (raw syscalls, no liburing) that
-//    batches all pending registrations into one submit+wait syscall per
-//    cycle and uses multishot poll so quiet fds cost nothing to re-arm.
-//    Falls back to epoll at make_poller() time on kernels without io_uring.
-// All backends dispatch the same way (snapshot ready fds, invoke the
+// Both backends dispatch the same way (snapshot ready fds, invoke the
 // callbacks through a stable shared handle so a callback may unwatch any
 // fd, including its own), so the daemons behave identically regardless of
 // backend.
@@ -141,21 +137,11 @@ class EpollPoller final : public Poller {
   std::map<int, Entry> entries_;
 };
 
-enum class PollerBackend { select, epoll, uring };
+enum class PollerBackend { select, epoll };
 
-/// Parses a --poller / knob value ("select", "epoll", or "uring").
+/// Parses a --poller / knob value ("select" or "epoll").
 Result<PollerBackend> parse_poller_backend(std::string_view name);
 const char* to_string(PollerBackend backend) noexcept;
-
-/// True when this kernel can create an io_uring instance with the features
-/// the UringPoller needs (probed once, cached). Used by tests and ci.sh to
-/// decide whether `--poller uring` runs natively or falls back.
-bool uring_available() noexcept;
-
-/// Constructs the io_uring backend directly; returns nullptr when the kernel
-/// lacks io_uring (ENOSYS), seccomp denies it (EPERM), or required features
-/// are missing. Most callers want make_poller(), which falls back to epoll.
-std::unique_ptr<Poller> make_uring_poller();
 
 std::unique_ptr<Poller> make_poller(PollerBackend backend);
 

@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/time_util.hpp"
 #include "core/brisk_node.hpp"
@@ -29,8 +30,10 @@ struct ChildProcess {
   pid_t pid = -1;
   int stdout_fd = -1;
 
-  void terminate_and_wait() {
-    if (pid <= 0) return;
+  /// SIGTERMs the child and reaps it; returns the wait status. A child
+  /// that has already exited keeps its own status.
+  int terminate_and_wait() {
+    if (pid <= 0) return 0;
     ::kill(pid, SIGTERM);
     int status = 0;
     ::waitpid(pid, &status, 0);
@@ -39,17 +42,20 @@ struct ChildProcess {
       ::close(stdout_fd);
       stdout_fd = -1;
     }
+    return status;
   }
 };
 
-/// Spawns `binary args...` with stdout captured in a pipe.
-ChildProcess spawn(const std::string& binary, std::vector<std::string> args) {
+/// Spawns `binary args...` with `captured_fd` (stdout by default) captured
+/// in a pipe.
+ChildProcess spawn(const std::string& binary, std::vector<std::string> args,
+                   int captured_fd = STDOUT_FILENO) {
   int pipe_fds[2];
   EXPECT_EQ(::pipe(pipe_fds), 0);
   ChildProcess child;
   child.pid = ::fork();
   if (child.pid == 0) {
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
+    ::dup2(pipe_fds[1], captured_fd);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
     std::vector<char*> argv;
@@ -164,6 +170,34 @@ TEST(AppsTest, ThreeExecutableDeployment) {
   // clean up here to keep the namespace tidy across test runs.
   auto out_region = shm::SharedRegion::open_named(out_shm);
   if (out_region.is_ok()) (void)out_region.value().unlink();
+}
+
+// Bad option values are usage errors: exit 2 before anything binds or
+// attaches, with a message that names the offending value.
+TEST(AppsTest, BadOptionValuesExitTwo) {
+  const std::string apps_dir = BRISK_APPS_DIR;
+  struct Case {
+    std::string binary;
+    std::vector<std::string> args;
+    std::string named;
+  };
+  const std::vector<Case> cases{
+      {"brisk_ism", {"--sync-algorithm", "bogus"}, "bogus"},
+      {"brisk_ism", {"--poller", "uring"}, "uring"},
+      {"brisk_exs", {"--poller", "uring", "--shm", "/brisk-apps-unused", "--ism-port", "1"},
+       "uring"},
+      {"brisk_ism", {"--readiness-pump=false"}, "readiness-pump"},
+      {"brisk_ism", {"--ack-period-us", "0"}, "ack_period_us"},
+  };
+  for (const Case& c : cases) {
+    ChildProcess child = spawn(apps_dir + "/" + c.binary, c.args, STDERR_FILENO);
+    // The marker never appears: this reads stderr until the child exits.
+    const std::string err = read_until(child, std::string(1, '\0'));
+    const int status = child.terminate_and_wait();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+        << c.binary << " " << c.args[0] << ": " << err;
+    EXPECT_NE(err.find(c.named), std::string::npos) << c.binary << ": " << err;
+  }
 }
 
 }  // namespace

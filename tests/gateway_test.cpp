@@ -1,6 +1,6 @@
 // Consumer-gateway tests: filter parse/pushdown semantics, the new consumer
-// wire messages, SinkRegistry mutation-vs-delivery safety, in-process
-// subscription equivalence, aggregation windows, and the TCP fan-out path
+// wire messages, in-process subscription fan-out (failure isolation and
+// mutation-vs-delivery safety), aggregation windows, and the TCP fan-out path
 // with its slow-consumer (drop-oldest + eviction) policy.
 #include <gtest/gtest.h>
 
@@ -193,7 +193,7 @@ TEST(ConsumerWire, AggWindowRoundTrip) {
   EXPECT_EQ(back.value(), window);
 }
 
-// ---- SinkRegistry mutation vs delivery (the remove() race regression) --------
+// ---- in-process subscriptions ------------------------------------------------
 
 class CountingSink final : public ism::Sink {
  public:
@@ -209,40 +209,6 @@ class CountingSink final : public ism::Sink {
  private:
   std::atomic<std::uint64_t> count_{0};
 };
-
-TEST(SinkRegistry, AddRemoveSafeAgainstConcurrentDelivery) {
-  // Pre-fix, remove() erased from the same vector accept() was iterating on
-  // the merger thread — a use-after-free under churn. The registry now swaps
-  // COW snapshots; this hammers delivery while sinks come and go.
-  ism::SinkRegistry registry;
-  auto stable = std::make_shared<CountingSink>();
-  ASSERT_TRUE(registry.add("stable", stable));
-
-  std::atomic<bool> stop{false};
-  std::thread delivery([&] {
-    const Record record = make_record(1, 1, 1);
-    while (!stop.load(std::memory_order_acquire)) {
-      (void)registry.accept(record);
-      (void)registry.flush();
-    }
-  });
-  for (int round = 0; round < 2'000; ++round) {
-    const std::string name = "churn-" + std::to_string(round % 7);
-    (void)registry.add(name, std::make_shared<CountingSink>());
-    (void)registry.remove(name);
-  }
-  // Under load the delivery thread may not have been scheduled yet; make
-  // sure it observed at least one snapshot before stopping.
-  const TimeMicros deadline = monotonic_micros() + 10'000'000;
-  while (stable->count() == 0 && monotonic_micros() < deadline) sleep_micros(100);
-  stop.store(true, std::memory_order_release);
-  delivery.join();
-  EXPECT_GT(stable->count(), 0u);
-  EXPECT_EQ(registry.sink_count(), 1u);
-  EXPECT_FALSE(registry.remove("churn-0"));
-}
-
-// ---- in-process subscriptions ------------------------------------------------
 
 std::shared_ptr<ConsumerGateway> make_local_gateway() {
   GatewayConfig config;  // tcp disabled
@@ -261,6 +227,62 @@ TEST(GatewayLocal, DuplicateNamesRejectedAndUnsubscribeWorks) {
   EXPECT_FALSE(gateway->unsubscribe("a"));
   EXPECT_EQ(gateway->find("a"), nullptr);
   EXPECT_EQ(gateway->subscriber_count(), 0u);
+}
+
+TEST(GatewayLocal, FailingSubscriberDoesNotStopOthers) {
+  // A stream subscriber whose sink rejects records (a full shm ring) reports
+  // the error but must not starve the subscribers registered after it.
+  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(128));
+  auto tiny_ring = shm::RingBuffer::init(memory.data(), 128);
+  ASSERT_TRUE(tiny_ring.is_ok());
+  auto gateway = make_local_gateway();
+  auto shm_sink = std::make_shared<ism::ShmSink>(tiny_ring.value());
+  auto counting = std::make_shared<CountingSink>();
+  ASSERT_TRUE(gateway->subscribe("shm", shm_sink));
+  ASSERT_TRUE(gateway->subscribe("counting", counting));
+
+  Status last = Status::ok();
+  for (int i = 0; i < 20; ++i) last = gateway->accept(make_record(1, 1, i));
+  EXPECT_EQ(last.code(), Errc::buffer_full) << "the first failure is reported";
+  EXPECT_EQ(counting->count(), 20u) << "later subscriber must see every record";
+  EXPECT_GT(shm_sink->dropped(), 0u);
+  for (const auto& s : gateway->subscriber_stats()) {
+    EXPECT_EQ(s.matched, 20u) << s.name;
+    const std::uint64_t expected = s.name == "shm" ? shm_sink->delivered() : 20u;
+    EXPECT_EQ(s.delivered, expected) << s.name;
+  }
+}
+
+TEST(GatewayLocal, SubscribeChurnSafeAgainstConcurrentDelivery) {
+  // subscribe()/unsubscribe() swap copy-on-write snapshots while accept()
+  // and flush() iterate the current one on the merger thread: hammer
+  // delivery while subscribers come and go.
+  auto gateway = make_local_gateway();
+  auto stable = std::make_shared<CountingSink>();
+  ASSERT_TRUE(gateway->subscribe("stable", stable));
+
+  std::atomic<bool> stop{false};
+  std::thread delivery([&] {
+    const Record record = make_record(1, 1, 1);
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)gateway->accept(record);
+      (void)gateway->flush();
+    }
+  });
+  for (int round = 0; round < 2'000; ++round) {
+    const std::string name = "churn-" + std::to_string(round % 7);
+    (void)gateway->subscribe(name, std::make_shared<CountingSink>());
+    (void)gateway->unsubscribe(name);
+  }
+  // Under load the delivery thread may not have been scheduled yet; make
+  // sure it observed at least one snapshot before stopping.
+  const TimeMicros deadline = monotonic_micros() + 10'000'000;
+  while (stable->count() == 0 && monotonic_micros() < deadline) sleep_micros(100);
+  stop.store(true, std::memory_order_release);
+  delivery.join();
+  EXPECT_GT(stable->count(), 0u);
+  EXPECT_EQ(gateway->subscriber_count(), 1u);
+  EXPECT_FALSE(gateway->unsubscribe("churn-0"));
 }
 
 TEST(GatewayLocal, FilterPushdownMatchesPostHocFiltering) {

@@ -536,55 +536,6 @@ TEST(OutputTest, ShmSinkCountsDropsWhenRingFull) {
   EXPECT_GT(sink.dropped(), 0u);
 }
 
-TEST(OutputTest, RegistryDeliversToAll) {
-  auto counter1 = std::make_shared<int>(0);
-  auto counter2 = std::make_shared<int>(0);
-  SinkRegistry sinks;
-  ASSERT_TRUE(sinks.add("first", std::make_shared<CallbackSink>(
-                                     [counter1](const Record&) { ++*counter1; })));
-  ASSERT_TRUE(sinks.add("second", std::make_shared<CallbackSink>(
-                                      [counter2](const Record&) { ++*counter2; })));
-  ASSERT_TRUE(sinks.accept(make_record(0, 1)));
-  EXPECT_EQ(*counter1, 1);
-  EXPECT_EQ(*counter2, 1);
-  EXPECT_EQ(sinks.sink_count(), 2u);
-}
-
-TEST(OutputTest, RegistryContinuesPastFailingSink) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(128));
-  auto tiny_ring = shm::RingBuffer::init(memory.data(), 128);
-  ASSERT_TRUE(tiny_ring.is_ok());
-  auto counter = std::make_shared<int>(0);
-  SinkRegistry sinks;
-  ASSERT_TRUE(sinks.add(std::make_shared<ShmSink>(tiny_ring.value())));
-  ASSERT_TRUE(sinks.add(std::make_shared<CallbackSink>([counter](const Record&) { ++*counter; })));
-  Record record = make_record(1, 1);
-  for (int i = 0; i < 20; ++i) (void)sinks.accept(record);
-  EXPECT_EQ(*counter, 20) << "second sink must see every record";
-}
-
-TEST(OutputTest, RegistryRejectsDuplicateNames) {
-  SinkRegistry sinks;
-  ASSERT_TRUE(sinks.add(std::make_shared<CallbackSink>([](const Record&) {})));
-  EXPECT_EQ(sinks.add(std::make_shared<CallbackSink>([](const Record&) {})).code(),
-            Errc::already_exists);
-  EXPECT_EQ(sinks.sink_count(), 1u);
-}
-
-TEST(OutputTest, RegistryFindAndRemoveByName) {
-  SinkRegistry sinks;
-  ASSERT_TRUE(sinks.add("a", std::make_shared<CallbackSink>([](const Record&) {})));
-  ASSERT_TRUE(sinks.add("b", std::make_shared<CallbackSink>([](const Record&) {})));
-  EXPECT_NE(sinks.find("a"), nullptr);
-  EXPECT_EQ(sinks.find("missing"), nullptr);
-  EXPECT_TRUE(sinks.remove("a"));
-  EXPECT_FALSE(sinks.remove("a"));
-  EXPECT_EQ(sinks.sink_count(), 1u);
-  auto names = sinks.names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "b");
-}
-
 TEST(OutputTest, EncodeDecodeOutputRecordPreservesNode) {
   Record record = make_record(4'000'000, 77);
   auto encoded = encode_output_record(record);

@@ -295,9 +295,16 @@ TEST_P(IsmMetricsTest, MetricsRecordsFlowThroughOrderingPipeline) {
   for (const char* name :
        {"ism.records_received", "ism.batches_received", "ism.connections_accepted",
         "ism.pipeline.submitted", "ism.pipeline.merged", "ism.sorter.pushed",
-        "ism.sessions", "ism.cre.matched", "test.custom"}) {
+        "ism.sessions", "ism.cre.matched", "ism.pipeline.merge_runs", "sort.late_records",
+        "test.custom"}) {
     EXPECT_TRUE(last_value.count(name)) << "missing metric " << name;
   }
+  // One delay-window gauge per ordering shard.
+  for (std::size_t i = 0; i < GetParam(); ++i) {
+    const std::string name = "ism.sorter.shard" + std::to_string(i) + ".frame_us";
+    EXPECT_TRUE(last_value.count(name)) << "missing metric " << name;
+  }
+  EXPECT_FALSE(last_value.count("ism.sorter.shard" + std::to_string(GetParam()) + ".frame_us"));
   // Final snapshot reflects the batch this test sent.
   EXPECT_GE(last_value["ism.records_received"], 3u);
   EXPECT_GE(last_value["ism.batches_received"], 1u);

@@ -297,14 +297,14 @@ TEST(SorterDisorderTest, LateArrivalsCountAndFeedTheHistogram) {
   clock.set(10'000);  // well past the delay window
   sorter.service();
   ASSERT_EQ(emitted.size(), 1u);
-  EXPECT_EQ(sorter.stats().late_drops, 0u);
+  EXPECT_EQ(sorter.stats().late_records, 0u);
 
   sensors::Record late;
   late.node = 2;
   late.sensor = 7;
   late.timestamp = 400;  // behind the emitted frontier: reordering loss
   ASSERT_TRUE(sorter.push(late).ok());
-  EXPECT_EQ(sorter.stats().late_drops, 1u);
+  EXPECT_EQ(sorter.stats().late_records, 1u);
   clock.set(20'000);
   sorter.service();
   ASSERT_EQ(emitted.size(), 2u);
@@ -434,11 +434,31 @@ TEST(HealthRollupTest, DropSeriesUseLatestCumulativeValue) {
   consumers::HealthRollup health(tight_health());
   health.observe(metric(4, 100, "exs.ring_drops_seen", 5), 1'000'000);
   health.observe(metric(4, 200, "exs.ring_drops_seen", 9), 1'000'100);
-  health.observe(metric(4, 200, "sort.late_drops", 2), 1'000'200);
+  health.observe(metric(4, 200, "ism.sorter.overflow_drops", 2), 1'000'200);
   const auto rows = health.rows(1'100'000);
   const auto* row = find_node(rows, 4);
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->drops, 11u);  // 9 (latest, not 5+9) + 2
+}
+
+// Records that were delivered (late, out of order) or that go-back-N
+// resolves without loss (duplicate replays, batches resent after a hole)
+// must not show up in the drops column.
+TEST(HealthRollupTest, DeliveredAndResentSeriesAreNotDrops) {
+  consumers::HealthRollup health(tight_health());
+  health.observe(metric(4, 100, "sort.late_records", 2), 1'000'000);
+  health.observe(metric(4, 100, "ism.duplicate_batches_dropped", 3), 1'000'000);
+  health.observe(metric(4, 100, "ism.out_of_order_batches_dropped", 4), 1'000'000);
+  auto rows = health.rows(1'100'000);
+  const auto* row = find_node(rows, 4);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->drops, 0u);
+
+  health.observe(metric(4, 200, "exs.ring_drops_seen", 1), 1'000'100);
+  rows = health.rows(1'100'000);
+  row = find_node(rows, 4);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->drops, 1u) << "only the genuine loss series counts";
 }
 
 TEST(HealthRollupTest, WatermarkLagTrailsTheFleetFrontier) {

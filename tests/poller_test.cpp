@@ -1,10 +1,8 @@
 // Poller backend parity suite: every readiness-dispatch scenario runs
-// against SelectPoller, EpollPoller, and (when the kernel provides it)
-// UringPoller so backends cannot drift apart. Includes the >FD_SETSIZE
-// smoke test that motivates the non-select backends: select() cannot watch
-// descriptors at or beyond FD_SETSIZE, epoll and io_uring dispatch them
-// fine. On kernels without io_uring the uring parameter is simply not
-// generated and the uring-specific tests skip.
+// against both SelectPoller and EpollPoller so the backends cannot drift
+// apart. Includes the >FD_SETSIZE smoke test that motivates the epoll
+// backend: select() cannot watch descriptors at or beyond FD_SETSIZE, epoll
+// dispatches them fine.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -256,9 +254,7 @@ TEST_P(PollerTest, DescriptorBeyondSelectRange) {
 }
 
 // Rapid watch/unwatch cycles must leave no stale dispatch behind: only the
-// registration alive at poll time may fire. For the uring backend this also
-// exercises SQ-ring overflow (the churn queues far more than one ring's
-// worth of registrations between polls, forcing mid-cycle flushes).
+// registration alive at poll time may fire.
 TEST_P(PollerTest, WatchUnwatchChurnDispatchesLatestOnly) {
   auto pair = socket_pair();
   ASSERT_TRUE(pair.is_ok());
@@ -390,15 +386,8 @@ TEST_P(PollerTest, CallbackMayRewatchSelf) {
   EXPECT_EQ(new_fired, 1);
 }
 
-std::vector<PollerBackend> parity_backends() {
-  std::vector<PollerBackend> backends{PollerBackend::select, PollerBackend::epoll};
-  // Generated at test-registration time: on kernels without io_uring the
-  // uring parameter simply does not exist (ci.sh keys off this).
-  if (uring_available()) backends.push_back(PollerBackend::uring);
-  return backends;
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerTest, ::testing::ValuesIn(parity_backends()),
+INSTANTIATE_TEST_SUITE_P(Backends, PollerTest,
+                         ::testing::Values(PollerBackend::select, PollerBackend::epoll),
                          [](const ::testing::TestParamInfo<PollerBackend>& info) {
                            return std::string(to_string(info.param));
                          });
@@ -410,9 +399,7 @@ TEST(PollerFactoryTest, ParseBackendNames) {
   auto epoll_backend = parse_poller_backend("epoll");
   ASSERT_TRUE(epoll_backend.is_ok());
   EXPECT_EQ(epoll_backend.value(), PollerBackend::epoll);
-  auto uring_backend = parse_poller_backend("uring");
-  ASSERT_TRUE(uring_backend.is_ok());
-  EXPECT_EQ(uring_backend.value(), PollerBackend::uring);
+  EXPECT_EQ(parse_poller_backend("uring").status().code(), Errc::invalid_argument);
   EXPECT_EQ(parse_poller_backend("kqueue").status().code(), Errc::invalid_argument);
 }
 
@@ -454,77 +441,6 @@ TEST(EpollPollerTest, UnwatchFailureLeavesEntryRegistered) {
   ::close(fd);
   EXPECT_TRUE(loop.unwatch(fd));
   EXPECT_EQ(loop.watched_count(), 0u);
-}
-
-// --- io_uring-specific coverage (names matter: ci.sh's TSan stage matches
-// on "UringPoller"). Each test skips cleanly when the kernel lacks io_uring.
-
-TEST(UringPollerTest, FactoryFallsBackWhenUnavailable) {
-  auto loop = make_poller(PollerBackend::uring);
-  ASSERT_NE(loop, nullptr) << "make_poller(uring) must always construct something";
-  if (uring_available()) {
-    EXPECT_STREQ(loop->backend_name(), "uring");
-  } else {
-    EXPECT_STREQ(loop->backend_name(), "epoll") << "fallback must land on epoll";
-  }
-}
-
-TEST(UringPollerTest, BatchedRegistrationsDispatchInOneCycle) {
-  if (!uring_available()) GTEST_SKIP() << "no io_uring on this kernel";
-  auto loop = make_uring_poller();
-  ASSERT_NE(loop, nullptr);
-  // All registrations queue as SQEs and submit with the first poll's single
-  // io_uring_enter; every ready fd must dispatch in that same cycle.
-  constexpr int kPairs = 32;
-  std::vector<Result<std::pair<TcpSocket, TcpSocket>>> pairs;
-  int fired = 0;
-  for (int i = 0; i < kPairs; ++i) {
-    pairs.push_back(socket_pair());
-    ASSERT_TRUE(pairs.back().is_ok());
-    ASSERT_TRUE(loop->watch(pairs.back().value().second.fd(), [&](int, Readiness) { ++fired; }));
-  }
-  const std::uint8_t byte = 1;
-  for (auto& p : pairs) ASSERT_TRUE(p.value().first.write_all(ByteSpan{&byte, 1}));
-  auto handled = loop->poll_once(100'000);
-  ASSERT_TRUE(handled.is_ok());
-  EXPECT_EQ(handled.value(), kPairs);
-  EXPECT_EQ(fired, kPairs);
-}
-
-TEST(UringPollerTest, StaleCompletionAfterRewatchIsDropped) {
-  if (!uring_available()) GTEST_SKIP() << "no io_uring on this kernel";
-  auto loop = make_uring_poller();
-  ASSERT_NE(loop, nullptr);
-  auto pair = socket_pair();
-  ASSERT_TRUE(pair.is_ok());
-  const int fd = pair.value().second.fd();
-  // Make the fd ready, poll so the kernel has completed the first
-  // registration, then re-watch before dispatching again: the completion
-  // belonging to the first generation must not reach the second callback
-  // twice or the first callback at all after replacement.
-  const std::uint8_t byte = 1;
-  ASSERT_TRUE(pair.value().first.write_all(ByteSpan{&byte, 1}));
-  int first_cb = 0;
-  ASSERT_TRUE(loop->watch(fd, [&](int, Readiness) { ++first_cb; }));
-  ASSERT_TRUE(loop->poll_once(100'000).is_ok());
-  EXPECT_EQ(first_cb, 1);
-  int second_cb = 0;
-  ASSERT_TRUE(loop->watch(fd, [&](int, Readiness) { ++second_cb; }));
-  ASSERT_TRUE(loop->poll_once(100'000).is_ok());
-  EXPECT_EQ(first_cb, 1) << "replaced callback must not fire again";
-  EXPECT_EQ(second_cb, 1);
-}
-
-TEST(UringPollerTest, AvailabilityProbeIsStable) {
-  // Whatever the kernel supports, the probe must agree with itself and with
-  // the factory across calls (it is consulted by tests and ci.sh).
-  const bool first = uring_available();
-  EXPECT_EQ(first, uring_available());
-  if (first) {
-    EXPECT_NE(make_uring_poller(), nullptr);
-  } else {
-    EXPECT_EQ(make_uring_poller(), nullptr);
-  }
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <thread>
 
 #include "common/time_util.hpp"
+#include "consumers/gateway_client.hpp"
 #include "core/brisk_manager.hpp"
 #include "core/brisk_node.hpp"
 #include "ism/ism.hpp"
@@ -231,6 +232,38 @@ Result<std::unique_ptr<BriskNode>> attach_app(const std::string& shm) {
 }
 
 // ---- satellite (a): kill -9 an EXS mid-stream, restart, output intact -------
+
+// Tearing a manager down while the gateway's fan-out thread is busy
+// recording queue drops into the ISM's flight recorder must not touch the
+// recorder after the ISM frees it (the ASan stage runs this label).
+TEST(ResilienceTest, ManagerTeardownWhileFanoutRecordsDrops) {
+  sensors::Record fat;
+  fat.node = 1;
+  fat.sensor = 1;
+  for (int i = 0; i < 8; ++i) {
+    fat.fields.push_back(sensors::Field::str(std::string(sensors::kMaxStringFieldBytes, 'x')));
+  }
+  for (int round = 0; round < 3; ++round) {
+    ManagerConfig config = resilient_manager_config();
+    config.ism.sorter_shards = 2;  // pipeline threads still run at teardown
+    config.gateway.tcp_enabled = true;
+    config.gateway.consumer_port = 0;
+    config.gateway.outbox_bytes = 8'192;
+    auto manager = BriskManager::create(config);
+    ASSERT_TRUE(manager.is_ok()) << manager.status().to_string();
+    consumers::GatewayClient::Options options;
+    options.name = "never-reads";
+    options.queue_records = 8;
+    auto client = consumers::GatewayClient::connect(
+        "127.0.0.1", manager.value()->consumer_port(), options);
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    for (int i = 0; i < 4'000; ++i) {
+      fat.timestamp = i;
+      (void)manager.value()->gateway().accept(fat);  // the shm ring fills: ignored
+    }
+    manager.value().reset();  // while the fan-out thread still works the lane
+  }
+}
 
 TEST(ResilienceTest, KillNineRestartIsGapAndDuplicateFree) {
   const std::string apps_dir = BRISK_APPS_DIR;
