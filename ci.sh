@@ -13,7 +13,8 @@
 #      inputs miss
 #   4. metrics smoke: a real daemon pair (brisk_ism + brisk_exs) with
 #      --metrics-interval on, then brisk_consume --metrics against the shm
-#      ring — one decoded ISM metrics record must appear in the table
+#      ring — one decoded ISM metrics record and the EXS's
+#      exs.loop_wakeups counter must appear in the table
 #   5. latency smoke: ISM + two traced EXS daemons with synthetic
 #      workloads, then brisk_consume --mode latency — every stage-pair
 #      histogram must report, and --trace-out must emit a Chrome trace
@@ -115,6 +116,12 @@ echo "$METRICS_OUT" | grep -q 'ism\.records_received' \
   || { echo "metrics smoke: no decoded ISM metrics record in consumer table" >&2; \
        echo "$METRICS_OUT" >&2; exit 1; }
 echo "$METRICS_OUT" | grep 'ism\.records_received' | head -1
+# The EXS snapshot rides in-band through the ISM: its loop-pacing counter
+# must reach the same table.
+echo "$METRICS_OUT" | grep -q 'exs\.loop_wakeups' \
+  || { echo "metrics smoke: no decoded EXS exs.loop_wakeups record in consumer table" >&2; \
+       echo "$METRICS_OUT" >&2; exit 1; }
+echo "$METRICS_OUT" | grep 'exs\.loop_wakeups' | head -1
 cleanup_metrics_smoke
 trap - EXIT
 

@@ -54,7 +54,7 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("batch-records", 256, "flush a batch after this many records")
       .add_int("batch-bytes", 32768, "flush a batch after this many bytes")
       .add_int("batch-age-us", 20'000, "flush a batch older than this")
-      .add_int("select-timeout-us", 40'000, "poll cycle timeout in microseconds")
+      .add_int("select-timeout-us", 40'000, "longest poll wait (idle cap) in microseconds")
       .add_int("replay-batches", 256, "replay buffer cap in batches")
       .add_int("replay-bytes", 0, "replay buffer cap in bytes (0 = unlimited)")
       .add_bool("exs-pace", true, "honour ISM credit grants (pace sends to the granted window)")
@@ -229,6 +229,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.batches_replayed),
               static_cast<unsigned long long>(stats.replay_evictions),
               static_cast<unsigned long long>(stats.replay_pending));
+  std::printf("loop: %llu wakeups, %llu burst-limited drains\n",
+              static_cast<unsigned long long>(stats.loop_wakeups),
+              static_cast<unsigned long long>(stats.burst_limited_drains));
   if (faults_enabled) {
     const net::FaultStats& faults = exs.value()->fault_stats();
     std::printf("faults injected: %llu/%llu frames dropped, %llu stalled, %llu truncated, "

@@ -45,7 +45,7 @@ brisk::apps::FlagRegistry make_registry() {
       .add_int("stats-interval", 0, "log a one-line stats summary every N seconds (0 = off)")
       .add_int("metrics-interval", 0,
                "emit self-instrumentation metrics records every N seconds (0 = off)")
-      .add_int("select-timeout-us", 40'000, "poll cycle timeout in microseconds")
+      .add_int("select-timeout-us", 40'000, "longest poll wait (idle cap) in microseconds")
       .add_int("frame-us", 10'000, "initial sorter frame window")
       .add_int("min-frame-us", 1'000, "adaptive sorter frame floor")
       .add_int("max-frame-us", 10'000'000, "adaptive sorter frame ceiling")

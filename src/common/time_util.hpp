@@ -21,6 +21,11 @@ TimeMicros process_cpu_micros() noexcept;
 /// CPU time consumed by the calling thread, microseconds.
 TimeMicros thread_cpu_micros() noexcept;
 
+/// Shortest wait of a loop that sleeps until its next work is due (the EXS
+/// loop, the ISM ordering loop, the sorter shard workers): a due time that
+/// is a few microseconds away must not turn the loop into a busy spin.
+inline constexpr TimeMicros kMinLoopWaitUs = 100;
+
 /// Sleeps the calling thread (best effort; may wake early on signals).
 void sleep_micros(TimeMicros duration) noexcept;
 

@@ -4,6 +4,7 @@
 #include <sys/select.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/logging.hpp"
@@ -751,7 +752,14 @@ void Ism::idle_work() {
   maybe_emit_metrics();
   pipeline_->service();
   session_sweep();
-  if (extra_sync_requested_.exchange(false, std::memory_order_acq_rel) && sync_service_) {
+  // A tachyon asks for an extra sync round at once. The loop wakes whenever
+  // a sorted record falls due, so each tachyon would get its own
+  // synchronous polling round: run at most one extra round per
+  // select_timeout_us. A deferred request runs within that cap.
+  const TimeMicros now = monotonic_micros();
+  if (sync_service_ && now - last_extra_sync_us_ >= config_.select_timeout_us &&
+      extra_sync_requested_.exchange(false, std::memory_order_acq_rel)) {
+    last_extra_sync_us_ = now;
     sync_service_->request_extra_round();
   }
   if (sync_service_) sync_service_->maybe_run_round();
@@ -1142,19 +1150,31 @@ int Ism::node_fd_by_index(std::size_t index) const {
   return -1;
 }
 
-Status Ism::run() { return loop_->run(config_.select_timeout_us); }
+TimeMicros Ism::next_wait_us() {
+  const TimeMicros due = pipeline_->next_due_in();
+  if (due >= 0 && due < config_.select_timeout_us) return std::max(due, kMinLoopWaitUs);
+  return config_.select_timeout_us;
+}
+
+Status Ism::run() {
+  while (!loop_->stopped()) {
+    auto polled = loop_->poll_once(next_wait_us());
+    if (!polled) return polled.status();
+  }
+  return Status::ok();
+}
 
 Status Ism::run_for(TimeMicros duration) {
   const TimeMicros deadline = monotonic_micros() + duration;
   while (monotonic_micros() < deadline && !loop_->stopped()) {
-    auto polled = loop_->poll_once(config_.select_timeout_us);
+    auto polled = loop_->poll_once(std::min(next_wait_us(), deadline - monotonic_micros()));
     if (!polled) return polled.status();
   }
   return Status::ok();
 }
 
 Status Ism::cycle() {
-  auto polled = loop_->poll_once(config_.select_timeout_us);
+  auto polled = loop_->poll_once(next_wait_us());
   if (!polled) return polled.status();
   return Status::ok();
 }

@@ -41,9 +41,10 @@ namespace brisk::ism {
 
 struct IsmConfig {
   std::uint16_t port = 0;  // 0 = ephemeral, see Ism::port()
-  /// Readiness-wait timeout of the main loop (the latency-floor knob —
-  /// "waiting select system calls, which can delay an event record for up
-  /// to 40 ms").
+  /// Longest readiness wait of the main loop (the paper's latency-floor
+  /// knob — "waiting select system calls, which can delay an event record
+  /// for up to 40 ms"); the loop wakes sooner when the sorter has a record
+  /// due.
   TimeMicros select_timeout_us = 40'000;
   /// Poller backend for the main loop and any reader threads.
   net::PollerBackend poller = net::PollerBackend::select;
@@ -174,11 +175,13 @@ class Ism {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Runs the poll loop until stop().
+  /// Runs the poll loop until stop(). Each wait lasts until the inline
+  /// sorter's next record is due, capped at select_timeout_us (the rule the
+  /// threaded shard workers apply to their own sorters).
   Status run();
   /// Runs for at most `duration` of monotonic time (tests and benches).
   Status run_for(TimeMicros duration);
-  /// One loop cycle (accept/read/idle work) with the configured timeout.
+  /// One loop cycle (accept/read/idle work) under the same wait rule.
   Status cycle();
   void stop() noexcept { loop_->stop(); }
 
@@ -341,6 +344,9 @@ class Ism {
   /// record, and emits the span list as a trace record behind it.
   void deliver_traced(const sensors::Record& record);
   void idle_work();
+  /// The next poll's timeout: min(select_timeout_us, pipeline next due),
+  /// floored at kMinLoopWaitUs.
+  TimeMicros next_wait_us();
   /// Idle reaping, quarantine expiry, and periodic BATCH_ACKs.
   void session_sweep();
   /// Reader-pool rebalancing: once the decayed drained-rate imbalance has
@@ -412,6 +418,7 @@ class Ism {
   /// Set by the pipeline's tachyon hook (merger thread when sharded);
   /// consumed on the ordering thread, which owns the sync service.
   std::atomic<bool> extra_sync_requested_{false};
+  TimeMicros last_extra_sync_us_ = 0;  // monotonic; paces tachyon-driven rounds
   TimeMicros last_stats_log_us_ = 0;     // monotonic
   TimeMicros last_metrics_emit_us_ = 0;  // monotonic
   SequenceNo metrics_sequence_ = 0;      // running seq of emitted metrics records

@@ -1,8 +1,10 @@
 #include "ism/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hpp"
+#include "common/time_util.hpp"
 
 namespace brisk::ism {
 
@@ -196,6 +198,19 @@ void OrderingPipeline::service() {
   std::lock_guard<std::mutex> lk(merger_mutex_);
   if (federated) merge_step();
   cre_service();
+}
+
+TimeMicros OrderingPipeline::next_due_in() {
+  if (threads_running_.load(std::memory_order_acquire)) return -1;
+  TimeMicros next = -1;
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->state_mutex);
+    if (shard->sorter->pending() == 0) continue;
+    // A record that fell due after service() ran is due now.
+    const TimeMicros due = std::max<TimeMicros>(shard->sorter->next_due_in(), 0);
+    if (next < 0 || due < next) next = due;
+  }
+  return next;
 }
 
 std::size_t OrderingPipeline::remove_node(NodeId node) {
@@ -409,7 +424,7 @@ void OrderingPipeline::shard_loop(Shard& shard) {
       signal_merger();
     }
     TimeMicros wait_us = config_.poll_timeout_us;
-    if (due >= 0 && due < wait_us) wait_us = due > 100 ? due : 100;
+    if (due >= 0 && due < wait_us) wait_us = std::max(due, kMinLoopWaitUs);
     std::unique_lock<std::mutex> lk(shard.cv_mutex);
     shard.cv.wait_for(lk, std::chrono::microseconds(wait_us), [&] {
       return shard.signaled || stop_.load(std::memory_order_relaxed);

@@ -112,6 +112,12 @@ class OrderingPipeline {
   /// and the sink flush here; sharded mode is a no-op (the workers own it).
   void service();
 
+  /// Time until the earliest record pending in an inline sorter becomes
+  /// due (0 if one already is) — how long the ordering thread may sleep
+  /// after service(). -1 when nothing is pending, or when threaded (the
+  /// shard workers keep their own deadlines).
+  [[nodiscard]] TimeMicros next_due_in();
+
   /// Session expiry: drain `node`'s pending records out of band — they
   /// bypass the merge (a dead node must not stall or distort it) but still
   /// pass the CRE matcher, since they may be reasons a held consequence is

@@ -40,6 +40,13 @@ class Batcher {
   void set_record_cap(std::uint32_t cap) noexcept { record_cap_ = cap; }
 
   [[nodiscard]] std::uint32_t pending_records() const noexcept { return builder_.record_count(); }
+  /// Clock time the open batch started; meaningful while pending_records() > 0.
+  [[nodiscard]] TimeMicros opened_at() const noexcept { return oldest_record_at_; }
+  /// Records the open batch still takes before the record limit seals it.
+  [[nodiscard]] std::uint32_t records_to_fill() const noexcept {
+    const std::uint32_t limit = effective_max_records();
+    return builder_.record_count() < limit ? limit - builder_.record_count() : 0;
+  }
   [[nodiscard]] std::uint64_t batches_sent() const noexcept { return batches_sent_; }
   [[nodiscard]] std::uint64_t bytes_sent() const noexcept { return bytes_sent_; }
 

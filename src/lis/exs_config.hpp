@@ -33,7 +33,10 @@ struct ExsConfig {
   std::uint32_t drain_burst = 1024;
 
   // --- event loop ------------------------------------------------------------
-  /// select() timeout; the paper observed this bounds worst-case record
+  /// Longest select() wait — the idle cap. The loop sleeps until its next
+  /// batch is due to seal (ExsCore::next_wait_us) and waits this long only
+  /// when nothing is due sooner; with batch_max_age_us = 0 and idle rings
+  /// it is the paper's fixed select timeout, which bounds worst-case record
   /// latency ("up to 40 ms").
   TimeMicros select_timeout_us = 40'000;
   /// Readiness-poll backend of the daemon loop.
@@ -100,6 +103,9 @@ struct ExsStats {
   std::uint64_t sync_polls_answered = 0;
   std::uint64_t sync_adjustments = 0;
   TimeMicros correction_us = 0;           // current clock correction value
+  // --- event loop ------------------------------------------------------------
+  std::uint64_t loop_wakeups = 0;         // drain passes (one per loop cycle)
+  std::uint64_t burst_limited_drains = 0; // passes that stopped at drain_burst
   // --- session resilience ----------------------------------------------------
   std::uint64_t reconnects = 0;           // sessions re-established after a loss
   std::uint64_t batches_replayed = 0;     // frames re-sent from the replay buffer

@@ -59,6 +59,8 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
     out.counter("exs.acks_received", s.acks_received);
     out.gauge("exs.replay_pending", s.replay_pending);
     out.gauge("exs.correction_us", static_cast<std::uint64_t>(s.correction_us));
+    out.counter("exs.loop_wakeups", s.loop_wakeups);
+    out.counter("exs.burst_limited_drains", s.burst_limited_drains);
     out.counter("exs.credit_grants", s.credit_grants_received);
     out.counter("exs.paced_batches", s.paced_batches);
     out.counter("exs.credit_stalled_ms",
@@ -69,6 +71,10 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
 }
 
 Result<std::size_t> ExsCore::drain_rings() {
+  const TimeMicros now = clock_.now();
+  drain_interval_us_ = loop_wakeups_ > 0 ? now - last_drain_at_ : 0;
+  last_drain_at_ = now;
+  ++loop_wakeups_;
   std::size_t drained = 0;
   const std::uint32_t slots = rings_.claimed_slots();
   // Round-robin across slots so one chatty producer cannot starve others.
@@ -99,7 +105,32 @@ Result<std::size_t> ExsCore::drain_rings() {
       }
     }
   }
+  last_drained_ = drained;
+  burst_limited_ = drained >= config_.drain_burst;
+  if (burst_limited_) ++burst_limited_drains_;
   return drained;
+}
+
+TimeMicros ExsCore::next_wait_us(TimeMicros now) const noexcept {
+  if (burst_limited_ && !link_.send_blocked()) return 0;
+  TimeMicros wait = config_.select_timeout_us;
+  if (config_.batch_max_age_us > 0) {
+    const TimeMicros age_left = batcher_.pending_records() > 0
+                                    ? batcher_.opened_at() + config_.batch_max_age_us - now
+                                    : config_.batch_max_age_us;
+    wait = std::min(wait, std::max<TimeMicros>(age_left, 0));
+  }
+  if (last_drained_ > 0 && drain_interval_us_ > 0) {
+    // At the rate the rings filled since the previous drain, this long
+    // until they hold what the open (or next) batch still takes.
+    const double fill_us = static_cast<double>(batcher_.records_to_fill()) *
+                           static_cast<double>(drain_interval_us_) /
+                           static_cast<double>(last_drained_);
+    if (fill_us < static_cast<double>(wait)) {
+      wait = std::min(wait, std::max(static_cast<TimeMicros>(fill_us), kMinLoopWaitUs));
+    }
+  }
+  return wait;
 }
 
 Status ExsCore::handle_frame(ByteSpan payload) {
@@ -176,6 +207,8 @@ ExsStats ExsCore::stats() const noexcept {
   s.sync_polls_answered = sync_polls_answered_;
   s.sync_adjustments = sync_adjustments_;
   s.correction_us = correction_;
+  s.loop_wakeups = loop_wakeups_;
+  s.burst_limited_drains = burst_limited_drains_;
   s.reconnects = link.reconnects;
   s.batches_replayed = link.batches_replayed;
   s.replay_evictions = link.replay_evictions;
@@ -444,13 +477,19 @@ Status ExternalSensor::cycle() {
 }
 
 Status ExternalSensor::run() {
-  return loop_->run(config_.select_timeout_us);
+  while (!loop_->stopped()) {
+    auto polled = loop_->poll_once(core_->next_wait_us(core_->clock().now()));
+    if (!polled) return polled.status();
+  }
+  return Status::ok();
 }
 
 Status ExternalSensor::run_for(TimeMicros duration) {
   const TimeMicros deadline = monotonic_micros() + duration;
   while (monotonic_micros() < deadline && !loop_->stopped() && !peer_closed_) {
-    auto polled = loop_->poll_once(config_.select_timeout_us);
+    const TimeMicros wait = std::min(core_->next_wait_us(core_->clock().now()),
+                                     deadline - monotonic_micros());
+    auto polled = loop_->poll_once(wait);
     if (!polled) return polled.status();
   }
   return Status::ok();

@@ -48,8 +48,26 @@ class ExsCore {
   ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& clock, FrameSink sink);
 
   /// Drains up to config.drain_burst records across all claimed rings into
-  /// the batcher. Returns the number of records drained.
+  /// the batcher. Returns the number of records drained. One call is one
+  /// loop wakeup; the call also measures the ring fill rate next_wait_us()
+  /// predicts from.
   Result<std::size_t> drain_rings();
+
+  /// How long the loop may sleep after a cycle that ran at node-clock time
+  /// `now`: until the next batch is due to seal, never past
+  /// select_timeout_us (the idle cap). The smallest of
+  ///  * select_timeout_us;
+  ///  * batch_max_age_us (when > 0) — the open batch's remaining age when a
+  ///    batch is open, so a record NOTICEd just after a drain still seals
+  ///    within the age bound;
+  ///  * the time the last drain's fill rate (records drained / time since
+  ///    the drain before it) needs to fill the open batch, floored at
+  ///    kMinLoopWaitUs;
+  ///  * 0 when the last drain stopped at drain_burst with the rings still
+  ///    holding records — unless the link cannot send (down, awaiting its
+  ///    HELLO_ACK, or credit-stalled), where draining on only moves records
+  ///    from the rings into the replay buffer.
+  [[nodiscard]] TimeMicros next_wait_us(TimeMicros now) const noexcept;
 
   /// Age-based flush; call once per loop cycle.
   Status maybe_flush() { return batcher_.maybe_flush(); }
@@ -105,6 +123,7 @@ class ExsCore {
   /// each metrics snapshot (batched and replayed like any record).
   [[nodiscard]] metrics::FlightRecorder& flight() noexcept { return flight_; }
   [[nodiscard]] const ExsConfig& config() const noexcept { return config_; }
+  [[nodiscard]] clk::Clock& clock() noexcept { return clock_; }
   [[nodiscard]] shm::MultiRing& rings() noexcept { return rings_; }
   [[nodiscard]] tp::UpstreamLink& link() noexcept { return link_; }
 
@@ -122,6 +141,13 @@ class ExsCore {
   std::uint64_t transcode_errors_ = 0;
   std::uint64_t sync_polls_answered_ = 0;
   std::uint64_t sync_adjustments_ = 0;
+  // The last drain pass, for next_wait_us().
+  TimeMicros last_drain_at_ = 0;
+  TimeMicros drain_interval_us_ = 0;  // between the last two passes
+  std::size_t last_drained_ = 0;
+  bool burst_limited_ = false;
+  std::uint64_t loop_wakeups_ = 0;
+  std::uint64_t burst_limited_drains_ = 0;
   metrics::MetricsRegistry metrics_;
   SequenceNo metrics_sequence_ = 0;
   metrics::FlightRecorder flight_;
@@ -144,8 +170,10 @@ class ExternalSensor {
   /// max_reconnect_attempts > 0) the reconnect budget is exhausted. Each
   /// cycle: handle inbound frames, drain rings, flush aged batches, send
   /// heartbeats, and drive the reconnect schedule while the link is down.
+  /// Each wait lasts ExsCore::next_wait_us — until the next batch is due.
   Status run();
-  /// Runs for at most `duration` (monotonic); for tests and benches.
+  /// Runs for at most `duration` (monotonic) under the same wait rule; for
+  /// tests and benches.
   Status run_for(TimeMicros duration);
   void stop() noexcept { loop_->stop(); }
 

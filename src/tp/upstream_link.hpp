@@ -112,6 +112,11 @@ class UpstreamLink {
   /// True once a credit grant governs this session's sends (pacing on,
   /// replay enabled, and a grant for this incarnation has arrived).
   [[nodiscard]] bool pacing() const noexcept { return credit_active_; }
+  /// True while a new batch could not leave now: the link is down, the
+  /// session awaits its HELLO_ACK, or the credit window is shut.
+  [[nodiscard]] bool send_blocked() const noexcept {
+    return !link_ready_ || awaiting_ack_ || stall_started_at_ != 0;
+  }
   /// Sent-but-unacknowledged records/bytes charged against the window.
   [[nodiscard]] std::uint64_t outstanding_records() const noexcept;
   [[nodiscard]] std::uint64_t outstanding_bytes() const noexcept;

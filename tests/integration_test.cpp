@@ -212,6 +212,59 @@ TEST(IntegrationTest, CausalTachyonRepairedEndToEnd) {
   EXPECT_EQ(manager.value()->ism().cre().stats().tachyons_repaired, 1u);
 }
 
+TEST(IntegrationTest, TachyonSyncRoundsRunAtMostOncePerSelectTimeout) {
+  auto manager_config = fast_manager_config();
+  manager_config.ism.enable_sync = true;
+  manager_config.ism.select_timeout_us = 200'000;
+  manager_config.ism.cre.hold_timeout_us = 2'000'000;
+  auto manager = BriskManager::create(manager_config);
+  ASSERT_TRUE(manager.is_ok());
+  auto consumer = manager.value()->make_consumer();
+  ASSERT_TRUE(consumer.is_ok());
+  auto node_a = BriskNode::create(fast_node_config(1));
+  auto node_b = BriskNode::create(fast_node_config(2));
+  ASSERT_TRUE(node_a.is_ok());
+  ASSERT_TRUE(node_b.is_ok());
+  auto sensor_a = node_a.value()->make_sensor();
+  auto sensor_b = node_b.value()->make_sensor();
+  ASSERT_TRUE(sensor_a.is_ok());
+  ASSERT_TRUE(sensor_b.is_ok());
+  auto exs_a = node_a.value()->connect_exs("127.0.0.1", manager.value()->port());
+  auto exs_b = node_b.value()->connect_exs("127.0.0.1", manager.value()->port());
+  ASSERT_TRUE(exs_a.is_ok());
+  ASSERT_TRUE(exs_b.is_ok());
+
+  constexpr int kPairs = 10;
+  const TimeMicros started = monotonic_micros();
+  TimeMicros took = 0;
+  {
+    ScopedThread exs_a_thread([&] { (void)exs_a.value()->run_for(3'000'000); });
+    ScopedThread exs_b_thread([&] { (void)exs_b.value()->run_for(3'000'000); });
+    {
+      ScopedThread ism_thread([&] { (void)manager.value()->run_for(3'000'000); });
+      // Ten tachyons 10 ms apart: each consequence NOTICEd before its reason.
+      for (int i = 0; i < kPairs; ++i) {
+        EXPECT_TRUE(sensor_b.value().notice(20, x_conseq(100 + i)));
+        sleep_micros(1'000);
+        EXPECT_TRUE(sensor_a.value().notice(10, x_reason(100 + i)));
+        sleep_micros(9'000);
+      }
+      EXPECT_EQ(collect(consumer.value(), 2 * kPairs).size(), 2u * kPairs);
+      manager.value()->stop();
+    }  // ISM loop joined while both EXSes still answer a pending sync round
+    took = monotonic_micros() - started;
+    exs_a.value()->stop();
+    exs_b.value()->stop();
+  }
+  EXPECT_EQ(manager.value()->ism().cre().stats().tachyons_repaired,
+            static_cast<std::uint64_t>(kPairs));
+  // A loop woken by every due record would run one round per tachyon.
+  const std::uint64_t extra_rounds = manager.value()->ism().sync()->extra_rounds_run();
+  EXPECT_GE(extra_rounds, 1u);
+  EXPECT_LE(extra_rounds,
+            static_cast<std::uint64_t>(took / manager_config.ism.select_timeout_us + 1));
+}
+
 TEST(IntegrationTest, ClockSyncAlignsSkewedNodesOverSockets) {
   auto manager_config = fast_manager_config();
   manager_config.ism.enable_sync = true;
@@ -403,6 +456,83 @@ TEST(IntegrationTest, RingOverflowDropsReachIsmAccounting) {
             sensor.value().stats().records_dropped);
   EXPECT_EQ(manager.value()->ism().stats().ring_drops_reported,
             sensor.value().stats().records_dropped);
+}
+
+/// An EXS whose select timeout is ten times its batch age bound: the loop
+/// must wake for the batch, not for the timeout.
+NodeConfig slow_select_node_config(NodeId node) {
+  NodeConfig config = fast_node_config(node);
+  config.exs.select_timeout_us = 200'000;
+  config.exs.batch_max_age_us = 20'000;
+  return config;
+}
+
+TEST(IntegrationTest, LoneRecordSealsWithinBatchAgeNotSelectTimeout) {
+  auto manager = BriskManager::create(fast_manager_config());
+  ASSERT_TRUE(manager.is_ok());
+  auto consumer = manager.value()->make_consumer();
+  ASSERT_TRUE(consumer.is_ok());
+  auto node = BriskNode::create(slow_select_node_config(1));
+  ASSERT_TRUE(node.is_ok());
+  auto sensor = node.value()->make_sensor();
+  ASSERT_TRUE(sensor.is_ok());
+  auto exs = node.value()->connect_exs("127.0.0.1", manager.value()->port());
+  ASSERT_TRUE(exs.is_ok());
+
+  TimeMicros latency = 0;
+  std::size_t delivered = 0;
+  {
+    ScopedThread ism_thread([&] { (void)manager.value()->run_for(3'000'000); });
+    ScopedThread exs_thread([&] { (void)exs.value()->run_for(3'000'000); });
+    sleep_micros(300'000);  // idle rings: the EXS settles into its idle waits
+    const TimeMicros noticed_at = monotonic_micros();
+    ASSERT_TRUE(BRISK_NOTICE(sensor.value(), 7, x_i32(1)));
+    delivered = collect(consumer.value(), 1, 2'000'000).size();
+    latency = monotonic_micros() - noticed_at;
+    exs.value()->stop();
+    manager.value()->stop();
+  }
+  ASSERT_EQ(delivered, 1u);
+  // Drained within one age bound, sealed within the next, plus the ISM's
+  // sorter window; a loop cycling on the 200 ms timeout needs 200-400 ms.
+  EXPECT_LT(latency, 150'000);
+}
+
+TEST(IntegrationTest, BacklogPastDrainBurstDrainsWithinOneSelectTimeout) {
+  auto manager = BriskManager::create(fast_manager_config());
+  ASSERT_TRUE(manager.is_ok());
+  auto consumer = manager.value()->make_consumer();
+  ASSERT_TRUE(consumer.is_ok());
+  const NodeConfig node_config = slow_select_node_config(1);
+  auto node = BriskNode::create(node_config);
+  ASSERT_TRUE(node.is_ok());
+  auto sensor = node.value()->make_sensor();
+  ASSERT_TRUE(sensor.is_ok());
+  const std::uint64_t backlog = 4u * node_config.exs.drain_burst;
+  for (std::uint64_t i = 0; i < backlog; ++i) {
+    ASSERT_TRUE(sensor.value().notice(1, x_i32(static_cast<std::int32_t>(i))));
+  }
+  auto exs = node.value()->connect_exs("127.0.0.1", manager.value()->port());
+  ASSERT_TRUE(exs.is_ok());
+
+  TimeMicros took = 0;
+  {
+    ScopedThread ism_thread([&] { (void)manager.value()->run_for(3'000'000); });
+    const TimeMicros started = monotonic_micros();
+    ScopedThread exs_thread([&] { (void)exs.value()->run_for(3'000'000); });
+    while (manager.value()->ism().stats().records_received < backlog &&
+           monotonic_micros() - started < 2'000'000) {
+      sleep_micros(1'000);
+    }
+    took = monotonic_micros() - started;
+    EXPECT_EQ(collect(consumer.value(), backlog).size(), backlog);
+    exs.value()->stop();
+    manager.value()->stop();
+  }
+  EXPECT_EQ(manager.value()->ism().stats().records_received, backlog);
+  // One burst per 200 ms cycle would need three more cycles after the first.
+  EXPECT_LT(took, node_config.exs.select_timeout_us);
+  EXPECT_GE(exs.value()->core().stats().burst_limited_drains, 3u);
 }
 
 TEST(IntegrationTest, FlowControlShedsExcessLoad) {

@@ -13,6 +13,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -311,6 +312,53 @@ IsmConfig stall_config(TimeMicros stall_timeout_us) {
   config.outbox_bytes = 512;
   config.outbox_stall_timeout_us = stall_timeout_us;
   return config;
+}
+
+TEST(IsmLoopWaitTest, InlineLoopWakesWhenTheSorterHasARecordDue) {
+  IsmConfig config;
+  config.select_timeout_us = 200'000;
+  config.enable_sync = false;
+  config.sorter.initial_frame_us = 5'000;
+  config.sorter.min_frame_us = 5'000;
+  config.sorter.adaptive = false;
+  std::atomic<TimeMicros> delivered_at{0};
+  auto sink = std::make_shared<CallbackSink>([&delivered_at](const sensors::Record&) {
+    delivered_at.store(monotonic_micros());
+  });
+  auto ism = Ism::start(config, clk::SystemClock::instance(), sink);
+  ASSERT_TRUE(ism.is_ok()) << ism.status().to_string();
+  std::thread server([&] { (void)ism.value()->run(); });
+
+  auto socket = net::TcpSocket::connect("127.0.0.1", ism.value()->port());
+  ASSERT_TRUE(socket.is_ok());
+  // Without TCP_NODELAY the batch could sit in Nagle's buffer until its
+  // record is already due on arrival, and the test would prove nothing.
+  ASSERT_TRUE(socket.value().set_nodelay(true));
+  ByteBuffer hello;
+  xdr::Encoder enc(hello);
+  tp::put_type(tp::MsgType::hello, enc);
+  tp::encode_hello({NodeId(9), tp::kProtocolVersion}, enc);
+  ASSERT_TRUE(net::write_frame(socket.value(), hello.view()));
+  ASSERT_TRUE(net::read_frame(socket.value()).is_ok()) << "hello_ack";
+
+  tp::BatchBuilder builder{NodeId(9)};
+  sensors::Record record;
+  record.sensor = 1;
+  record.timestamp = clk::SystemClock::instance().now();
+  record.fields = {sensors::Field::i32(1)};
+  ASSERT_TRUE(builder.add_record(record));
+  ByteBuffer batch = builder.finish();
+  const TimeMicros sent_at = monotonic_micros();
+  ASSERT_TRUE(net::write_frame(socket.value(), batch.view()));
+  while (delivered_at.load() == 0 && monotonic_micros() - sent_at < 2'000'000) {
+    sleep_micros(1'000);
+  }
+  ism.value()->stop();
+  server.join();
+  ASSERT_NE(delivered_at.load(), 0) << "record never delivered";
+  // Due 5 ms after arrival; a loop that waits out its 200 ms select
+  // timeout after the arrival wakeup delivers it ~200 ms late.
+  EXPECT_LT(delivered_at.load() - sent_at, 100'000);
 }
 
 TEST(IsmOutboxStallTest, OverloadedPeerSurvivesGracePeriodAndFramesNeverTear) {

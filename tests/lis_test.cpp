@@ -6,6 +6,8 @@
 #include <cstring>
 
 #include "clock/clock.hpp"
+#include "clock/sim_clock.hpp"
+#include "common/time_util.hpp"
 #include "lis/batcher.hpp"
 #include "lis/external_sensor.hpp"
 #include "tp/replay_buffer.hpp"
@@ -361,6 +363,126 @@ TEST_F(ExsCoreTest, RoundRobinAcrossChattySlots) {
     if (r.sensor == 2) saw_quiet = true;
   }
   EXPECT_TRUE(saw_quiet) << "round-robin must reach the quiet slot within one burst";
+}
+
+// ---- ExsCore::next_wait_us ----------------------------------------------------------
+
+/// The loop's wait rule on a simulated node clock: every wait below follows
+/// from the drains the test performs and the instants it sets.
+class ExsWaitTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    memory_.resize(shm::MultiRing::region_size(2, 64 * 1024));
+    auto rings = shm::MultiRing::init(memory_.data(), 2, 64 * 1024);
+    ASSERT_TRUE(rings.is_ok());
+    rings_ = rings.value();
+    auto ring = rings_.claim_slot();
+    ASSERT_TRUE(ring.is_ok());
+    sensor_ = std::make_unique<sensors::Sensor>(ring.value(), clock_);
+    config_.node = 3;
+    config_.select_timeout_us = 40'000;
+    config_.batch_max_age_us = 20'000;
+    config_.batch_max_records = 256;
+  }
+
+  void make_core() {
+    core_ = std::make_unique<ExsCore>(config_, rings_, clock_,
+                                      [](ByteBuffer) { return Status::ok(); });
+  }
+
+  void notice(int count) {
+    for (int i = 0; i < count; ++i) ASSERT_TRUE(sensor_->notice(1, sensors::x_i32(i)));
+  }
+
+  std::size_t drain() {
+    auto drained = core_->drain_rings();
+    EXPECT_TRUE(drained.is_ok());
+    return drained.is_ok() ? drained.value() : 0;
+  }
+
+  std::vector<std::uint8_t> memory_;
+  shm::MultiRing rings_;
+  clk::ManualClock reference_{0};
+  clk::SimClock clock_{reference_, clk::SimClockConfig{5'000'000, 0.0, 0, 1}};
+  ExsConfig config_;
+  std::unique_ptr<sensors::Sensor> sensor_;
+  std::unique_ptr<ExsCore> core_;
+};
+
+TEST_F(ExsWaitTest, IdleRingsWaitTheAgeBoundOrTheSelectTimeout) {
+  make_core();
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 20'000) << "before any drain";
+  EXPECT_EQ(drain(), 0u);
+  reference_.advance(1'000);
+  EXPECT_EQ(drain(), 0u);
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 20'000)
+      << "a record NOTICEd now must be drained within the age bound";
+
+  config_.batch_max_age_us = 0;  // flush every cycle: only the idle cap is left
+  make_core();
+  EXPECT_EQ(drain(), 0u);
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 40'000);
+}
+
+TEST_F(ExsWaitTest, OpenBatchWaitsItsRemainingAge) {
+  make_core();
+  notice(3);
+  EXPECT_EQ(drain(), 3u);  // first drain: no fill rate yet
+  reference_.advance(5'000);
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 15'000);
+  reference_.advance(20'000);
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 0) << "an overdue batch seals at once";
+}
+
+TEST_F(ExsWaitTest, PredictsWhenTheRingsFillTheOpenBatch) {
+  make_core();
+  EXPECT_EQ(drain(), 0u);
+  reference_.advance(1'000);
+  notice(64);
+  EXPECT_EQ(drain(), 64u);
+  // 64 records in 1 ms; the open batch takes 192 more: 3 ms at that rate.
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 3'000);
+
+  // With no batch open the prediction covers a whole batch: 256 records
+  // at 128 per 2 ms.
+  config_.batch_max_age_us = 0;
+  make_core();
+  EXPECT_EQ(drain(), 0u);
+  reference_.advance(2'000);
+  notice(128);
+  EXPECT_EQ(drain(), 128u);
+  ASSERT_TRUE(core_->flush());
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 4'000);
+}
+
+TEST_F(ExsWaitTest, BurstLimitedDrainGoesStraightBack) {
+  config_.drain_burst = 8;
+  make_core();
+  notice(20);
+  EXPECT_EQ(drain(), 8u);
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), 0) << "the rings still hold records";
+  EXPECT_EQ(core_->stats().burst_limited_drains, 1u);
+
+  core_->on_disconnect();  // records could only move into the replay buffer
+  EXPECT_GT(core_->next_wait_us(clock_.now()), 0);
+
+  make_core();
+  EXPECT_EQ(drain(), 8u);
+  EXPECT_EQ(drain(), 4u);
+  EXPECT_GT(core_->next_wait_us(clock_.now()), 0) << "rings empty again";
+  EXPECT_EQ(core_->stats().loop_wakeups, 2u);
+  EXPECT_EQ(core_->stats().burst_limited_drains, 1u);
+}
+
+TEST_F(ExsWaitTest, FillPredictionIsFlooredAtTheMinimumLoopWait) {
+  make_core();
+  EXPECT_EQ(drain(), 0u);
+  reference_.advance(10);
+  notice(200);
+  EXPECT_EQ(drain(), 200u);
+  // 56 more records at 20 per µs is under 3 µs: the floor keeps the loop
+  // from spinning.
+  EXPECT_EQ(core_->next_wait_us(clock_.now()), kMinLoopWaitUs);
 }
 
 // ---- ReplayBuffer --------------------------------------------------------------------

@@ -15,13 +15,18 @@
 #include "common/time_util.hpp"
 #include "ism/ism.hpp"
 #include "ism/output.hpp"
+#include "lis/external_sensor.hpp"
 #include "metrics/metrics.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "picl/picl_record.hpp"
 #include "sensors/metrics_record.hpp"
+#include "sensors/sensor.hpp"
+#include "shm/multi_ring.hpp"
 #include "shm/ring_buffer.hpp"
 #include "tp/batch.hpp"
+#include "tp/wire.hpp"
+#include "xdr/xdr_decoder.hpp"
 #include "xdr/xdr_encoder.hpp"
 
 namespace brisk {
@@ -199,6 +204,58 @@ TEST(MetricsRecordTest, PiclLineRoundTrip) {
   ASSERT_TRUE(point.is_ok());
   EXPECT_EQ(point.value().name, "exs.records_forwarded");
   EXPECT_EQ(point.value().value, 424242u);
+}
+
+// ---- the EXS snapshot --------------------------------------------------------------
+
+// The loop-pacing counters ride the EXS's 0xFF01 snapshot: every drain pass
+// is one loop wakeup, and a pass that stopped at drain_burst (rings still
+// holding records) is a burst-limited drain.
+TEST(ExsMetricsTest, SnapshotCarriesLoopWakeupsAndBurstLimitedDrains) {
+  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
+  ASSERT_TRUE(rings.is_ok());
+  auto ring = rings.value().claim_slot();
+  ASSERT_TRUE(ring.is_ok());
+  clk::ManualClock clock(1'000'000);
+  sensors::Sensor sensor(ring.value(), clock);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(sensor.notice(1, sensors::x_i32(i)));
+
+  lis::ExsConfig config;
+  config.node = 6;
+  config.drain_burst = 4;
+  std::vector<ByteBuffer> frames;
+  lis::ExsCore core(config, rings.value(), clock, [&frames](ByteBuffer payload) {
+    frames.push_back(std::move(payload));
+    return Status::ok();
+  });
+  for (int pass = 0; pass < 4; ++pass) ASSERT_TRUE(core.drain_rings().is_ok());  // 4+4+2+0
+  ASSERT_TRUE(core.flush());
+  frames.clear();
+  ASSERT_TRUE(core.emit_metrics());
+  ASSERT_TRUE(core.flush());
+
+  std::map<std::string, std::uint64_t> snapshot;
+  for (const ByteBuffer& frame : frames) {
+    xdr::Decoder dec(frame.view());
+    auto type = tp::peek_type(dec);
+    ASSERT_TRUE(type.is_ok());
+    if (type.value() != tp::MsgType::data_batch) continue;
+    auto batch = tp::decode_batch(dec);
+    ASSERT_TRUE(batch.is_ok()) << batch.status().to_string();
+    for (const sensors::Record& record : batch.value().records) {
+      if (!sensors::is_metrics_record(record)) continue;
+      EXPECT_EQ(record.node, 6u);
+      auto point = sensors::decode_metrics_record(record);
+      ASSERT_TRUE(point.is_ok()) << point.status().to_string();
+      snapshot[point.value().name] = point.value().value;
+    }
+  }
+  ASSERT_TRUE(snapshot.count("exs.loop_wakeups"));
+  ASSERT_TRUE(snapshot.count("exs.burst_limited_drains"));
+  EXPECT_EQ(snapshot["exs.loop_wakeups"], 4u);
+  EXPECT_EQ(snapshot["exs.burst_limited_drains"], 2u);
+  EXPECT_EQ(snapshot["exs.records_forwarded"], 10u);
 }
 
 // ---- end to end through a live Ism -----------------------------------------------
