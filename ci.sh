@@ -25,7 +25,8 @@
 #      EXS blasts into the blocked socket, its writes stall, and records
 #      drop at the rings (must be nonzero); with --ism-credit-records on,
 #      the pacer parks batches in the replay buffer instead and ring drops
-#      must be exactly zero
+#      must be exactly zero, with 0 replayed and 0 evicted batches in the
+#      EXS resilience footer
 #   7. fan-out smoke: ISM with --consumer-port on, one EXS (workload +
 #      tracing + metrics), three brisk_consume subscribers over TCP with
 #      disjoint pushdown filters (workload sensors / 0xFF01 metrics /
@@ -47,7 +48,8 @@
 #      (including the flow-control property suite), which is where lifetime
 #      and data-race-adjacent bugs actually surface
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
-#      tests plus the flow-control property suite, the consumer-gateway
+#      tests plus the window-update and ack-cadence tests, the
+#      flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, reader migration,
 #      two-hop sync, metrics aggregation), and the flight-recorder and
 #      health-rollup suites — the cross-thread stats counters, the credit
@@ -198,16 +200,20 @@ cleanup_fc_smoke() {
 }
 trap cleanup_fc_smoke EXIT
 # One overdriven run; $1 = extra ISM flags (credit knobs). Sets FC_DROPS to
-# the EXS's final ring-drop count. The ISM's ordering thread sleeps 100ms
+# the EXS's final ring-drop count. The ISM's ordering thread sleeps 150ms
 # around every second outbound ack (fault injection), so its socket reads
 # pause and the TCP window pushes back on the EXS — the "ISM at half the
-# offered load" shape without needing a slow machine.
+# offered load" shape without needing a slow machine. The ack period runs
+# from the end of each ack's write, so an unstalled ack follows a stalled
+# one a full period later; at 100ms the stalled ISM kept up often enough
+# that the credits-off run saw no ring drops. With credits on, the replay
+# buffer must hold the whole 4 s backlog (~64k 16-record batches).
 run_fc_pair() {
   ISM_LOG="$(mktemp)"
   # shellcheck disable=SC2086  # $1 is deliberately word-split flag args
   ./build/src/apps/brisk_ism --port 0 --shm "$FC_SHM_OUT" \
     --ism-reader-threads 1 --ingest-queue-frames 4 --select-timeout-us 10000 \
-    --ack-period-us 20000 --fault-stall-every 2 --fault-stall-us 100000 \
+    --ack-period-us 20000 --fault-stall-every 2 --fault-stall-us 150000 \
     $1 >"$ISM_LOG" 2>&1 &
   ISM_PID=$!
   ISM_PORT=""
@@ -221,7 +227,7 @@ run_fc_pair() {
   ./build/src/apps/brisk_exs --node 1 --shm "$FC_SHM_NODE" \
     --ism-host 127.0.0.1 --ism-port "$ISM_PORT" \
     --workload-rate 300000 --batch-records 16 --batch-age-us 2000 \
-    --ring-bytes 1048576 --replay-batches 65536 --select-timeout-us 2000 \
+    --ring-bytes 1048576 --replay-batches 131072 --select-timeout-us 2000 \
     >"$EXS_OUT" 2>&1 &
   EXS_PID=$!
   sleep 4
@@ -234,6 +240,9 @@ run_fc_pair() {
   rm -f "/dev/shm${FC_SHM_OUT}" "/dev/shm${FC_SHM_NODE}" 2>/dev/null || true
   grep 'ring drops' "$EXS_OUT" || { echo "flow smoke: no EXS stats line" >&2; cat "$EXS_OUT" >&2; exit 1; }
   FC_DROPS="$(sed -n 's/.*(\([0-9][0-9]*\) ring drops).*/\1/p' "$EXS_OUT" | head -1)"
+  grep 'resilience:' "$EXS_OUT" || { echo "flow smoke: no EXS resilience line" >&2; cat "$EXS_OUT" >&2; exit 1; }
+  FC_REPLAYED="$(sed -n 's/^resilience: .* \([0-9][0-9]*\) replayed,.*/\1/p' "$EXS_OUT" | head -1)"
+  FC_EVICTED="$(sed -n 's/^resilience: .* \([0-9][0-9]*\) evicted,.*/\1/p' "$EXS_OUT" | head -1)"
 }
 run_fc_pair ""
 [[ "$FC_DROPS" -gt 0 ]] \
@@ -241,7 +250,11 @@ run_fc_pair ""
 run_fc_pair "--ism-credit-records 8192 --credit-replenish-us 5000"
 [[ "$FC_DROPS" -eq 0 ]] \
   || { echo "flow smoke: expected ZERO ring drops with credits ON, got $FC_DROPS" >&2; exit 1; }
-echo "flow smoke: credits off drops, credits on loses nothing at the rings"
+# The stalled acks must not read as loss either: no go-back-N resends and
+# no replay-buffer evictions with credits on.
+[[ "$FC_REPLAYED" -eq 0 && "$FC_EVICTED" -eq 0 ]] \
+  || { echo "flow smoke: expected 0 replayed / 0 evicted with credits ON, got $FC_REPLAYED / $FC_EVICTED" >&2; exit 1; }
+echo "flow smoke: credits off drops, credits on loses nothing at the rings and replays nothing"
 cleanup_fc_smoke
 trap - EXIT
 
@@ -510,6 +523,6 @@ echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation 
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
 
 echo "==> CI green"

@@ -92,6 +92,7 @@ void Ism::register_metrics() {
     b.counter("ism.heartbeats_received", s.heartbeats_received);
     b.counter("ism.credit_grants_sent", s.credit_grants_sent);
     b.counter("ism.zero_window_grants", s.zero_window_grants);
+    b.counter("ism.window_update_acks", s.window_update_acks);
     b.counter("ism.reader_migrations", s.reader_migrations);
 
     const PipelineStats p = pipeline_->stats();
@@ -188,6 +189,7 @@ IsmStats Ism::stats() const noexcept {
   out.heartbeats_received = stats_.heartbeats_received.load(std::memory_order_relaxed);
   out.credit_grants_sent = stats_.credit_grants_sent.load(std::memory_order_relaxed);
   out.zero_window_grants = stats_.zero_window_grants.load(std::memory_order_relaxed);
+  out.window_update_acks = stats_.window_update_acks.load(std::memory_order_relaxed);
   out.reader_migrations = stats_.reader_migrations.load(std::memory_order_relaxed);
   return out;
 }
@@ -688,6 +690,7 @@ void Ism::handle_batch(Connection& conn, tp::Batch batch) {
     }
     route_record(std::move(record));
   }
+  maybe_send_window_update(conn, session);
 }
 
 void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
@@ -716,6 +719,7 @@ void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
   if (!st) {
     BRISK_LOG_WARN << "relay lane submit failed: " << st.to_string();
   }
+  maybe_send_window_update(conn, session);
 }
 
 void Ism::route_record(sensors::Record record) {
@@ -932,9 +936,24 @@ Status Ism::send_ack(Connection& conn, tp::MsgType type) {
     ack.credit = credit;
     tp::encode_batch_ack(ack, enc);
   }
-  conn.last_ack_sent_us = monotonic_micros();
   bump(stats_.acks_sent);
-  return send_frame(conn, out.view());
+  session.admitted_at_last_ack = session.records_admitted;
+  const Status st = send_frame(conn, out.view());
+  // Stamped after the write: a write that stalled past the ack period must
+  // not be followed at once by a second ack naming the same cursor — the
+  // EXS reads a repeated cursor as loss and resends.
+  conn.last_ack_sent_us = monotonic_micros();
+  return st;
+}
+
+void Ism::maybe_send_window_update(Connection& conn, NodeSession& session) {
+  if (!credits_enabled() || conn.version < tp::kCreditProtocolVersion) return;
+  const std::uint64_t threshold = std::max<std::uint64_t>(config_.credit_window_records / 2, 1);
+  if (session.records_admitted - session.admitted_at_last_ack < threshold) return;
+  bump(stats_.window_update_acks);
+  // A failed send is left to the sweep's next ack, which classifies it
+  // (transient buffer_full vs. dead peer) and reaps the connection if needed.
+  (void)send_ack(conn, tp::MsgType::batch_ack);
 }
 
 void Ism::session_sweep() {

@@ -122,7 +122,9 @@ struct IsmConfig {
   /// Ack cadence towards a session whose last grant was below the full
   /// window: the pipeline is draining its backlog and a prompt re-grant is
   /// what reopens the EXS's window (--credit-replenish-us). Clamped up to
-  /// ack_period_us; 0 keeps the plain ack cadence.
+  /// ack_period_us; 0 keeps the plain ack cadence. Independently of any
+  /// cadence, a session that has had half its window admitted since its
+  /// last ack gets a window update at once (see maybe_send_window_update).
   TimeMicros credit_replenish_us = 20'000;
 };
 
@@ -158,6 +160,7 @@ struct IsmStats {
   // --- credit-based flow control ---------------------------------------------
   std::uint64_t credit_grants_sent = 0;        // acks that carried a grant
   std::uint64_t zero_window_grants = 0;        // grants that closed the window
+  std::uint64_t window_update_acks = 0;        // acks sent after half a window admitted
   // --- reader-pool rebalancing -----------------------------------------------
   std::uint64_t reader_migrations = 0;         // connections moved between readers
 };
@@ -286,6 +289,7 @@ class Ism {
     /// the node's in-pipeline backlog, which shrinks its next grant.
     std::shared_ptr<std::atomic<std::uint64_t>> records_drained;
     std::uint32_t last_granted_records = 0;  // most recent grant's window
+    std::uint64_t admitted_at_last_ack = 0;  // records_admitted when the last ack went out
     // --- federation ----------------------------------------------------------
     /// Ordered-ingress lane in the pipeline (relay sessions only). Lanes are
     /// append-only in the pipeline, so the index stays valid across
@@ -364,6 +368,12 @@ class Ism {
   /// The grant appended to an ack: configured window minus the node's
   /// in-pipeline backlog (clamped at zero — never a negative window).
   [[nodiscard]] tp::CreditGrant build_credit_grant(NodeSession& session) const noexcept;
+  /// Receiver-driven window update: once a credited (v3) session has had
+  /// half the configured window admitted since its last ack, ack now
+  /// instead of at the next sweep. The EXS charges every unacked record
+  /// against its window, so waiting for the ack cadence would cap the
+  /// stream at window / ack period.
+  void maybe_send_window_update(Connection& conn, NodeSession& session);
   /// Pipeline-sink hook: counts a delivered record against its node's
   /// drained counter (any pipeline thread; lock-free COW map lookup).
   void note_record_drained(NodeId node) noexcept;
@@ -457,6 +467,7 @@ class Ism {
     std::atomic<std::uint64_t> heartbeats_received{0};
     std::atomic<std::uint64_t> credit_grants_sent{0};
     std::atomic<std::uint64_t> zero_window_grants{0};
+    std::atomic<std::uint64_t> window_update_acks{0};
     std::atomic<std::uint64_t> reader_migrations{0};
   };
   Counters stats_;

@@ -34,11 +34,16 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
       link_(make_link_config(config), clock, std::move(sink)),
       flight_("exs-" + std::to_string(config.node)) {
   drain_scratch_.reserve(sensors::kMaxNativeRecordBytes);
-  // Window-aware flush: never build a batch the granted window cannot take
-  // whole (0 keeps the configured maximum — the link's progress guarantee
-  // covers the rare oversized leftover).
+  // Window-aware flush: never build a batch the session's largest grant
+  // cannot take whole (0 keeps the configured maximum — the link's progress
+  // guarantee covers the rare oversized leftover). The latest grant would
+  // be the wrong cap: a backlog shrinks it transiently, tiny batches follow,
+  // and the replay buffer, bounded in batches, fills and evicts. A core
+  // lives for one incarnation, so the largest grant starts over with each.
   link_.set_window_observer(
       [this](std::uint32_t window_records, std::uint64_t) {
+        if (window_records <= largest_grant_records_) return;
+        largest_grant_records_ = window_records;
         batcher_.set_record_cap(window_records);
       });
   // Bridge the existing stats counters into the registry; the collector

@@ -136,6 +136,7 @@ class ExsCore {
   FrameSink sink_;
   Batcher batcher_;
   tp::UpstreamLink link_;
+  std::uint32_t largest_grant_records_ = 0;  // the batch cap; see the window observer
   TimeMicros correction_ = 0;
   std::uint64_t records_forwarded_ = 0;
   std::uint64_t transcode_errors_ = 0;

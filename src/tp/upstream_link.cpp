@@ -212,6 +212,7 @@ Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
       auto ack = decode_batch_ack(decoder);
       if (!ack) return ack.status();
       ++acks_received_;
+      const std::uint32_t prior_window = window_records_;
       apply_credit(ack.value().credit);
       if (config_.replay_batches == 0) return Status::ok();
       const std::uint32_t expected = ack.value().next_expected_seq;
@@ -219,8 +220,13 @@ Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
       // Two consecutive acks naming the same cursor while we hold that very
       // batch means the peer lost it in flight (not merely lagging):
       // go-back-N resend from the cursor. A single stale ack is not enough —
-      // acks race with batches legitimately in flight.
-      const bool stuck = have_last_ack_ && expected == last_batch_ack_expected_;
+      // acks race with batches legitimately in flight. A repeat whose grant
+      // widens the window is a re-grant, not that signal: the peer's
+      // pipeline drained while the batch at the cursor was still queued
+      // ahead of its ordering thread.
+      const bool regrant = credit_active_ && window_records_ > prior_window;
+      const bool stuck =
+          have_last_ack_ && expected == last_batch_ack_expected_ && !regrant;
       have_last_ack_ = true;
       last_batch_ack_expected_ = expected;
       if (stuck && !awaiting_ack_ && !replay_.empty() &&

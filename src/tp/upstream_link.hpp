@@ -66,8 +66,9 @@ class UpstreamLink {
   /// not surface here as an error — the daemon layer reports it through
   /// on_disconnect() and the replay buffer covers the gap.
   using FrameSink = std::function<Status(ByteBuffer payload)>;
-  /// Observes credit-window changes (the EXS caps its batch size to the
-  /// granted window so no batch is built that the window cannot take whole).
+  /// Observes every applied grant (the EXS caps its batch size to the
+  /// largest granted window so no batch is built that the window cannot
+  /// take whole).
   using WindowObserver = std::function<void(std::uint32_t window_records,
                                             std::uint64_t window_bytes)>;
 

@@ -472,6 +472,90 @@ TEST(CreditGrantSessionTest, TruncatedGrantFramesErrorWithoutTearingSession) {
   EXPECT_GE(s.data_frames_sent(), 2u);
 }
 
+tp::CreditGrant grant_of(std::uint32_t window_records) {
+  tp::CreditGrant grant;
+  grant.incarnation = ExsSession::kIncarnation;
+  grant.window_records = window_records;
+  return grant;
+}
+
+TEST(CreditGrantSessionTest, BatchCapFollowsLargestGrantNotLatest) {
+  ExsSession s(/*batch_max_records=*/8);
+  EXPECT_TRUE(s.core->send_hello());
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::hello_ack, ExsSession::kIncarnation, 0, grant_of(64))
+          .view()));
+  s.produce(8);
+  ASSERT_EQ(s.core->stats().batches_sent, 1u);
+
+  // A backlog at the ISM shrinks one grant far below the batch size. The
+  // batcher must keep sealing full batches: capping at the latest grant
+  // would seal 2-record batches, and a replay buffer bounded in batches
+  // would fill and evict under load.
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::batch_ack, ExsSession::kIncarnation, 1, grant_of(2))
+          .view()));
+  EXPECT_EQ(s.core->stats().credit_window_records, 2u);
+  s.produce(8);
+  EXPECT_EQ(s.core->stats().batches_sent, 2u) << "one 8-record batch, not four of 2";
+  // Nothing is outstanding, so the oversized batch still ships whole.
+  EXPECT_EQ(s.data_frames_sent(), 2u);
+}
+
+TEST(CreditGrantSessionTest, FirstGrantBelowBatchMaxStillCapsBatches) {
+  ExsSession s(/*batch_max_records=*/8);
+  EXPECT_TRUE(s.core->send_hello());
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::hello_ack, ExsSession::kIncarnation, 0, grant_of(2))
+          .view()));
+  s.produce(8);
+  EXPECT_EQ(s.core->stats().batches_sent, 4u) << "the session's only grant caps batches";
+  EXPECT_EQ(s.data_frames_sent(), 1u) << "the window takes one 2-record batch";
+}
+
+// A repeated ack cursor is the go-back-N loss signal — unless the grant
+// widens the window: then the ISM's pipeline drained while the batch at the
+// cursor still sat ahead of its ordering thread, and resending would only
+// hand it a duplicate.
+TEST(CreditGrantSessionTest, RepeatedCursorWithWiderGrantIsARegrantNotLoss) {
+  ExsSession s;
+  EXPECT_TRUE(s.core->send_hello());
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::hello_ack, ExsSession::kIncarnation, 0, grant_of(8))
+          .view()));
+  s.produce(4);
+  ASSERT_EQ(s.data_frames_sent(), 1u);
+
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::batch_ack, ExsSession::kIncarnation, 0, grant_of(16))
+          .view()));
+  EXPECT_EQ(s.data_frames_sent(), 1u) << "a widening re-grant must not resend";
+  EXPECT_EQ(s.core->stats().batches_replayed, 0u);
+
+  // The same cursor again with nothing new granted: now it is loss.
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::batch_ack, ExsSession::kIncarnation, 0, grant_of(16))
+          .view()));
+  EXPECT_EQ(s.data_frames_sent(), 2u);
+  EXPECT_EQ(s.core->stats().batches_replayed, 1u);
+}
+
+TEST(CreditGrantSessionTest, RepeatedCursorWithEqualGrantStillResends) {
+  ExsSession s;
+  EXPECT_TRUE(s.core->send_hello());
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::hello_ack, ExsSession::kIncarnation, 0, grant_of(8))
+          .view()));
+  s.produce(4);
+  ASSERT_EQ(s.data_frames_sent(), 1u);
+
+  ASSERT_TRUE(s.core->handle_frame(
+      encode_ack_frame(tp::MsgType::batch_ack, ExsSession::kIncarnation, 0, grant_of(8))
+          .view()));
+  EXPECT_EQ(s.data_frames_sent(), 2u) << "a stuck cursor without new credit is loss";
+  EXPECT_EQ(s.core->stats().batches_replayed, 1u);
+}
+
 // ---- fault-injected frame streams -------------------------------------------
 
 void append_framed(std::vector<std::uint8_t>& stream, ByteSpan payload,

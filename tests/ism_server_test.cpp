@@ -11,15 +11,19 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <atomic>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "clock/clock.hpp"
 #include "common/time_util.hpp"
 #include "ism/ism.hpp"
+#include "net/faulty_socket.hpp"
 #include "net/frame.hpp"
 #include "net/poller.hpp"
 #include "net/socket.hpp"
@@ -432,6 +436,194 @@ TEST(IsmOutboxStallTest, ZeroGraceReapsWedgedPeer) {
 
   ism.value()->stop();
   server.join();
+}
+
+// ---- receiver-driven credit window updates ---------------------------------------------
+//
+// A credited (v3) session gets a BATCH_ACK as soon as half its window has
+// been admitted since its last ack, not at the next ack period. The sweep
+// is pushed out of the picture (10 s ack period, no replenish cadence), so
+// every ack the client sees below is a window update.
+
+/// An ISM whose sorter holds every record until drain, so a node's
+/// backlog is exactly the records admitted from it.
+struct WindowUpdateIsm {
+  WindowUpdateIsm(std::uint32_t credit_records, const IngestMode& mode) {
+    IsmConfig config;
+    config.select_timeout_us = 2'000;
+    config.enable_sync = false;
+    config.sorter.adaptive = false;
+    config.sorter.initial_frame_us = 120'000'000;
+    config.sorter.max_frame_us = 120'000'000;
+    config.poller = mode.poller;
+    config.reader_threads = mode.reader_threads;
+    config.sorter_shards = mode.sorter_shards;
+    config.ack_period_us = 10'000'000;
+    config.credit_window_records = credit_records;
+    config.credit_replenish_us = 0;
+    auto sink = std::make_shared<CallbackSink>([](const sensors::Record&) {});
+    auto started = Ism::start(config, clk::SystemClock::instance(), sink);
+    EXPECT_TRUE(started.is_ok()) << started.status().to_string();
+    ism = std::move(started).value();
+    server = std::thread([this] { (void)ism->run(); });
+  }
+  ~WindowUpdateIsm() {
+    ism->stop();
+    server.join();
+  }
+  WindowUpdateIsm(const WindowUpdateIsm&) = delete;
+  WindowUpdateIsm& operator=(const WindowUpdateIsm&) = delete;
+
+  /// Connects as `node` speaking `version` and consumes the HELLO_ACK.
+  net::TcpSocket join(NodeId node, std::uint32_t version) {
+    auto socket = net::TcpSocket::connect("127.0.0.1", ism->port());
+    EXPECT_TRUE(socket.is_ok());
+    ByteBuffer hello;
+    xdr::Encoder enc(hello);
+    tp::put_type(tp::MsgType::hello, enc);
+    tp::encode_hello({node, version, /*incarnation=*/1}, enc);
+    EXPECT_TRUE(net::write_frame(socket.value(), hello.view()));
+    EXPECT_TRUE(net::read_frame(socket.value()).is_ok()) << "hello_ack";
+    return std::move(socket).value();
+  }
+
+  std::unique_ptr<Ism> ism;
+  std::thread server;
+};
+
+void send_records(net::TcpSocket& socket, tp::BatchBuilder& builder, int count) {
+  const TimeMicros now = clk::SystemClock::instance().now();
+  for (int i = 0; i < count; ++i) {
+    sensors::Record record;
+    record.sensor = 1;
+    record.timestamp = now + i;
+    record.fields = {sensors::Field::i32(i)};
+    ASSERT_TRUE(builder.add_record(record));
+  }
+  ByteBuffer payload = builder.finish();
+  ASSERT_TRUE(net::write_frame(socket, payload.view()));
+}
+
+/// The next BATCH_ACK if one arrives within `timeout`.
+std::optional<tp::BatchAck> ack_within(net::TcpSocket& socket, TimeMicros timeout) {
+  pollfd pfd{socket.fd(), POLLIN, 0};
+  if (::poll(&pfd, 1, static_cast<int>(timeout / 1'000)) <= 0) return std::nullopt;
+  auto frame = net::read_frame(socket);
+  EXPECT_TRUE(frame.is_ok());
+  if (!frame) return std::nullopt;
+  xdr::Decoder dec(frame.value().view());
+  auto type = tp::peek_type(dec);
+  EXPECT_TRUE(type.is_ok() && type.value() == tp::MsgType::batch_ack);
+  auto ack = tp::decode_batch_ack(dec);
+  EXPECT_TRUE(ack.is_ok());
+  if (!ack) return std::nullopt;
+  return ack.value();
+}
+
+TEST(IsmWindowUpdateTest, CreditedSessionIsAckedOnceHalfItsWindowIsAdmitted) {
+  for (const IngestMode& mode :
+       {IngestMode{net::PollerBackend::select, 0}, IngestMode{net::PollerBackend::epoll, 2, 2}}) {
+    SCOPED_TRACE(std::string(net::to_string(mode.poller)) + " readers=" +
+                 std::to_string(mode.reader_threads));
+    WindowUpdateIsm server(/*credit_records=*/8, mode);
+    net::TcpSocket client = server.join(5, tp::kCreditProtocolVersion);
+    tp::BatchBuilder builder{NodeId(5)};
+
+    send_records(client, builder, 4);  // half the window
+    auto ack = ack_within(client, 2'000'000);
+    ASSERT_TRUE(ack.has_value()) << "half a window admitted must ack at once";
+    EXPECT_EQ(ack->next_expected_seq, 1u);
+    ASSERT_TRUE(ack->credit.has_value());
+    EXPECT_EQ(ack->credit->window_records, 4u) << "window minus the 4-record backlog";
+
+    send_records(client, builder, 3);  // below half since the last ack
+    EXPECT_FALSE(ack_within(client, 300'000).has_value());
+
+    send_records(client, builder, 1);
+    ack = ack_within(client, 2'000'000);
+    ASSERT_TRUE(ack.has_value());
+    EXPECT_EQ(ack->next_expected_seq, 3u);
+    ASSERT_TRUE(ack->credit.has_value());
+    EXPECT_EQ(ack->credit->window_records, 0u);
+    EXPECT_EQ(server.ism->stats().window_update_acks, 2u);
+  }
+}
+
+TEST(IsmWindowUpdateTest, V2SessionAndCreditsOffGetNoWindowUpdates) {
+  const IngestMode mode{net::PollerBackend::select, 0};
+  {
+    WindowUpdateIsm server(/*credit_records=*/8, mode);
+    net::TcpSocket client = server.join(6, tp::kMinProtocolVersion);
+    tp::BatchBuilder builder{NodeId(6)};
+    send_records(client, builder, 8);
+    EXPECT_FALSE(ack_within(client, 300'000).has_value()) << "v2 peers keep the ack period";
+    EXPECT_EQ(server.ism->stats().window_update_acks, 0u);
+  }
+  {
+    WindowUpdateIsm server(/*credit_records=*/0, mode);
+    net::TcpSocket client = server.join(7, tp::kCreditProtocolVersion);
+    tp::BatchBuilder builder{NodeId(7)};
+    send_records(client, builder, 8);
+    EXPECT_FALSE(ack_within(client, 300'000).has_value()) << "credits off keeps the ack period";
+    EXPECT_EQ(server.ism->stats().window_update_acks, 0u);
+  }
+}
+
+// Regression: the ack period must run from the end of the ack's write. When
+// it ran from the start, a write that stalled past the period was followed
+// at once by another ack naming the same cursor — the batches the EXS sent
+// on the first ack's grant were still in flight — and the EXS read the
+// repeat as loss and resent its whole window.
+TEST(IsmAckCadenceTest, StalledAckWriteDoesNotPullTheNextAckForward) {
+  constexpr TimeMicros kPeriod = 40'000;
+  constexpr TimeMicros kStall = 60'000;
+  IsmConfig config;
+  config.select_timeout_us = 2'000;
+  config.enable_sync = false;
+  config.ack_period_us = kPeriod;
+  auto sink = std::make_shared<CallbackSink>([](const sensors::Record&) {});
+  auto ism = Ism::start(config, clk::SystemClock::instance(), sink);
+  ASSERT_TRUE(ism.is_ok()) << ism.status().to_string();
+  // Every other BATCH_ACK stalls its write; note when each ack was offered.
+  std::mutex mutex;
+  std::vector<std::pair<TimeMicros, bool>> offered;  // (time, stalled)
+  ism.value()->set_fault_policy([&](std::uint64_t, ByteSpan payload) {
+    net::FaultDecision decision;
+    xdr::Decoder dec(payload);
+    auto type = tp::peek_type(dec);
+    if (!type || type.value() != tp::MsgType::batch_ack) return decision;
+    std::lock_guard<std::mutex> lock(mutex);
+    const bool stall = offered.size() % 2 == 0;
+    offered.emplace_back(monotonic_micros(), stall);
+    if (stall) {
+      decision.action = net::FaultAction::stall;
+      decision.stall_us = kStall;
+    }
+    return decision;
+  });
+  std::thread server([&] { (void)ism.value()->run(); });
+
+  auto client = net::TcpSocket::connect("127.0.0.1", ism.value()->port());
+  ASSERT_TRUE(client.is_ok());
+  ByteBuffer hello;
+  xdr::Encoder enc(hello);
+  tp::put_type(tp::MsgType::hello, enc);
+  tp::encode_hello({NodeId(4), tp::kProtocolVersion}, enc);
+  ASSERT_TRUE(net::write_frame(client.value(), hello.view()));
+  ASSERT_TRUE(net::read_frame(client.value()).is_ok()) << "hello_ack";
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(net::read_frame(client.value()).is_ok()) << "batch_ack " << i;
+  }
+  ism.value()->stop();
+  server.join();
+
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_GE(offered.size(), 8u);
+  for (std::size_t i = 0; i + 1 < offered.size(); ++i) {
+    if (!offered[i].second) continue;
+    EXPECT_GE(offered[i + 1].first - offered[i].first, kStall + kPeriod / 2)
+        << "ack " << i + 1 << " followed a stalled write without a full period";
+  }
 }
 
 // Acceptance: the sorted + CRE-ordered output stream must be byte-identical

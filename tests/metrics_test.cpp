@@ -374,5 +374,66 @@ INSTANTIATE_TEST_SUITE_P(Shards, IsmMetricsTest, ::testing::Values(1, 2, 4),
                            return "shards" + std::to_string(info.param);
                          });
 
+// A credited session that has half its window admitted is acked at once; the
+// ISM counts those acks as ism.window_update_acks in its 0xFF01 snapshot.
+TEST(IsmMetricsWindowUpdateTest, SnapshotCountsWindowUpdateAcks) {
+  ism::IsmConfig config;
+  config.select_timeout_us = 2'000;
+  config.enable_sync = false;
+  config.metrics_interval_us = 10'000;
+  config.ack_period_us = 10'000'000;  // every ack below is a window update
+  config.credit_window_records = 4;
+  config.credit_replenish_us = 0;
+  auto log = std::make_shared<std::vector<sensors::Record>>();
+  auto mutex = std::make_shared<std::mutex>();
+  auto sink = std::make_shared<ism::CallbackSink>([log, mutex](const sensors::Record& r) {
+    std::lock_guard<std::mutex> lock(*mutex);
+    if (sensors::is_metrics_record(r)) log->push_back(r);
+  });
+  auto ism = ism::Ism::start(config, clk::SystemClock::instance(), sink);
+  ASSERT_TRUE(ism.is_ok()) << ism.status().to_string();
+  std::thread server([&] { (void)ism.value()->run(); });
+
+  auto socket = net::TcpSocket::connect("127.0.0.1", ism.value()->port());
+  ASSERT_TRUE(socket.is_ok());
+  ByteBuffer hello;
+  xdr::Encoder hello_enc(hello);
+  tp::put_type(tp::MsgType::hello, hello_enc);
+  tp::encode_hello({NodeId{4}, tp::kCreditProtocolVersion}, hello_enc);
+  ASSERT_TRUE(net::write_frame(socket.value(), hello.view()));
+  ASSERT_TRUE(net::read_frame(socket.value()).is_ok()) << "hello_ack";
+  tp::BatchBuilder builder{NodeId{4}};
+  const TimeMicros base = clk::SystemClock::instance().now();
+  for (int i = 0; i < 2; ++i) {  // half the window
+    sensors::Record record;
+    record.sensor = 1;
+    record.timestamp = base + i;
+    record.fields = {sensors::Field::i32(i)};
+    ASSERT_TRUE(builder.add_record(record));
+  }
+  ByteBuffer payload = builder.finish();
+  ASSERT_TRUE(net::write_frame(socket.value(), payload.view()));
+  auto ack = net::read_frame(socket.value());
+  ASSERT_TRUE(ack.is_ok());
+  xdr::Decoder dec(ack.value().view());
+  auto type = tp::peek_type(dec);
+  ASSERT_TRUE(type.is_ok());
+  EXPECT_EQ(type.value(), tp::MsgType::batch_ack);
+  ism.value()->stop();
+  server.join();
+  ASSERT_TRUE(ism.value()->drain());  // emits the final snapshot
+
+  std::lock_guard<std::mutex> lock(*mutex);
+  std::map<std::string, std::uint64_t> last_value;
+  for (const sensors::Record& r : *log) {
+    auto point = sensors::decode_metrics_record(r);
+    ASSERT_TRUE(point.is_ok()) << point.status().to_string();
+    last_value[point.value().name] = point.value().value;
+  }
+  ASSERT_TRUE(last_value.count("ism.window_update_acks"));
+  EXPECT_EQ(last_value["ism.window_update_acks"], 1u);
+  EXPECT_EQ(last_value["ism.credit_grants_sent"], 2u) << "hello_ack + the window update";
+}
+
 }  // namespace
 }  // namespace brisk
