@@ -4,8 +4,10 @@
 #   2. determinism + poller parity: the ingest/ordering determinism grid
 #      run explicitly — one test body covering {select, epoll} x reader
 #      threads x sorter shards {1,2,4}, asserting byte-identical sorted
-#      output with self-instrumentation enabled — plus the poller parity
-#      suite across both backends
+#      output with self-instrumentation enabled — plus the relay-federation
+#      grid (inline/threaded ingest x shards {1,4} with relay lanes, tree
+#      output byte-identical to flat) and the poller parity suite across
+#      both backends
 #   3. bench smoke: a short saturated bench_throughput run with the sharded
 #      ordering pipeline (shards=2) plus the tracing-overhead check, and a
 #      bench_latency --smoke pass proving annotated records deliver —
@@ -75,9 +77,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "==> [2/12] determinism grid + poller parity (select + epoll, shards 1/2/4, metrics on)"
+echo "==> [2/12] determinism + relay-federation grids + poller parity (select + epoll, shards 1/2/4, metrics on)"
 ctest --test-dir build --output-on-failure --no-tests=error \
-  -R 'IsmIngestDeterminismTest|PollerTest'
+  -R 'IsmIngestDeterminismTest|RelayFederationTest|PollerTest'
 
 echo "==> [3/12] bench smoke: sharded ordering pipeline + traced delivery"
 ./build/bench/bench_throughput --smoke

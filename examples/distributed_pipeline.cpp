@@ -158,9 +158,9 @@ int main() {
               causality_violations);
   std::printf("tachyons repaired by the ISM: %llu\n",
               static_cast<unsigned long long>(
-                  manager.value()->ism().cre().stats().tachyons_repaired));
+                  manager.value()->ism().cre_stats().tachyons_repaired));
   std::printf("extra clock-sync rounds requested: %llu\n",
               static_cast<unsigned long long>(
-                  manager.value()->ism().cre().stats().extra_sync_requests));
+                  manager.value()->ism().cre_stats().extra_sync_requests));
   return (received == kItems * 3 && causality_violations == 0) ? 0 : 1;
 }

@@ -97,8 +97,7 @@ void ReaderThread::apply_commands() {
       IngestEvent event;
       event.kind = IngestEvent::Kind::released;
       event.fd = command.fd;
-      event.wire_bytes = conn.unattributed_bytes;
-      conn.unattributed_bytes = 0;
+      event.wire_bytes = conn.decoder.take_unattributed_bytes();
       // Through emit(), behind any backlog: `released` is the last event
       // this reader ever produces for the fd, so consuming it guarantees
       // nothing of this connection's stream is still in flight here.
@@ -120,6 +119,9 @@ void ReaderThread::apply_commands() {
         erase_if_done(command.fd);
       } else {
         (void)poller_->watch(command.fd, [this](int fd, net::Readiness) { on_readable(fd); });
+        // The stall may have left complete frames in the decoder, which
+        // no readiness event announces.
+        on_readable(command.fd);
       }
     }
   }
@@ -129,61 +131,69 @@ void ReaderThread::on_readable(int fd) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   ConnState& conn = it->second;
-
-  std::uint8_t chunk[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n > 0) {
-      conn.unattributed_bytes += static_cast<std::size_t>(n);
-      conn.frames.feed(ByteSpan(chunk, static_cast<std::size_t>(n)));
-      for (;;) {
-        auto frame = conn.frames.next();
-        if (!frame) {
-          finish(conn, fd, frame.status());
-          return;
-        }
-        if (!frame.value().has_value()) break;
-        ByteBuffer payload = std::move(*frame.value());
-
-        IngestEvent event;
-        event.fd = fd;
-        event.wire_bytes = conn.unattributed_bytes;
-        conn.unattributed_bytes = 0;
-
-        // Decode DATA batches here — that is the CPU work this thread
-        // exists to offload. Control frames pass through as raw payloads;
-        // the ordering thread owns their semantics.
-        xdr::Decoder decoder{ByteSpan(payload.data(), payload.size())};
-        auto type = tp::peek_type(decoder);
-        if (type && type.value() == tp::MsgType::data_batch) {
-          auto batch = tp::decode_batch(decoder);
-          if (batch) {
-            event.kind = IngestEvent::Kind::batch;
-            event.batch = std::move(batch).value();
-          } else {
-            finish(conn, fd, batch.status());
-            return;
-          }
-        } else {
-          // Undecodable type words included: the ordering thread counts
-          // and ignores unknown frames, so pass them through untouched.
-          event.kind = IngestEvent::Kind::frame;
-          event.payload = std::move(payload);
-        }
-        emit(conn, std::move(event));
-      }
-      if (conn.stalled) return;  // stop reading; resume() restarts us
-      if (static_cast<std::size_t>(n) < sizeof chunk) return;
-      continue;
-    }
-    if (n == 0) {
-      finish(conn, fd, Status::ok());  // orderly EOF
+  while (!conn.stalled) {  // resume() restarts us
+    std::optional<IngestEvent> event = conn.decoder.next(fd);
+    if (!event) return;
+    if (event->kind == IngestEvent::Kind::closed) {
+      finish(conn, fd, std::move(*event));
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    finish(conn, fd, Status(Errc::io_error, std::string("read: ") + std::strerror(errno)));
-    return;
+    emit(conn, std::move(*event));
+  }
+}
+
+std::optional<IngestEvent> IngestDecoder::next(int fd) {
+  for (;;) {
+    auto frame = frames_.next();
+    if (!frame || frame.value().has_value()) {
+      IngestEvent event;
+      event.fd = fd;
+      event.wire_bytes = take_unattributed_bytes();
+      if (!frame) {
+        event.kind = IngestEvent::Kind::closed;
+        event.error = frame.status();
+        return event;
+      }
+      ByteBuffer payload = std::move(*frame.value());
+      xdr::Decoder decoder{ByteSpan(payload.data(), payload.size())};
+      auto type = tp::peek_type(decoder);
+      if (type && type.value() == tp::MsgType::data_batch) {
+        auto batch = tp::decode_batch(decoder);
+        if (batch) {
+          event.kind = IngestEvent::Kind::batch;
+          event.batch = std::move(batch).value();
+        } else {
+          event.kind = IngestEvent::Kind::closed;
+          event.error = batch.status();
+        }
+      } else {
+        // Undecodable type words included: the ordering thread counts and
+        // ignores unknown frames, so pass them through untouched.
+        event.kind = IngestEvent::Kind::frame;
+        event.payload = std::move(payload);
+      }
+      return event;
+    }
+    if (socket_drained_) {
+      socket_drained_ = false;
+      return std::nullopt;
+    }
+    std::uint8_t chunk[64 * 1024];
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n > 0) {
+      unattributed_bytes_ += static_cast<std::size_t>(n);
+      frames_.feed(ByteSpan(chunk, static_cast<std::size_t>(n)));
+      socket_drained_ = static_cast<std::size_t>(n) < sizeof chunk;
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return std::nullopt;
+    if (n < 0 && errno == EINTR) continue;
+    IngestEvent event;
+    event.kind = IngestEvent::Kind::closed;
+    event.fd = fd;
+    event.wire_bytes = take_unattributed_bytes();
+    if (n < 0) event.error = Status(Errc::io_error, std::string("read: ") + std::strerror(errno));
+    return event;  // n == 0: orderly EOF, error stays ok
   }
 }
 
@@ -216,17 +226,11 @@ void ReaderThread::stall(ConnState& conn, int fd) {
   to_ordering_.signal();
 }
 
-void ReaderThread::finish(ConnState& conn, int fd, Status why) {
+void ReaderThread::finish(ConnState& conn, int fd, IngestEvent closed) {
   if (conn.closed) return;
   conn.closed = true;
   (void)poller_->unwatch(fd);
-  IngestEvent event;
-  event.kind = IngestEvent::Kind::closed;
-  event.fd = fd;
-  event.wire_bytes = conn.unattributed_bytes;
-  conn.unattributed_bytes = 0;
-  event.error = std::move(why);
-  emit(conn, std::move(event));
+  emit(conn, std::move(closed));
   erase_if_done(fd);
 }
 

@@ -1,9 +1,11 @@
-// Multi-threaded ISM ingest: reader threads that decouple readiness
-// dispatch and wire decoding from the ordering pipeline.
+// ISM ingest: socket bytes → IngestEvents, and the reader threads that can
+// take that work off the ordering thread.
 //
-// Each ReaderThread owns a net::Poller and services a share of the accepted
-// EXS connections: it reads the socket, reassembles frames, and decodes
-// DATA batches (the CPU-heavy XDR work) off the ordering thread. Decoded
+// One IngestDecoder per connection reads the socket, reassembles frames and
+// decodes DATA batches (the CPU-heavy XDR work). With reader_threads == 0
+// the ordering thread runs it and handles each event at once; otherwise
+// each ReaderThread owns a net::Poller, services a share of the accepted
+// EXS connections and runs their decoders off the ordering thread. Decoded
 // events flow to the ordering thread through one bounded SPSC lane per
 // connection, so per-connection FIFO — the property the whole transfer
 // protocol rests on ("the in-order arrival of these batches is guaranteed
@@ -30,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -60,6 +63,27 @@ struct IngestEvent {
   ByteBuffer payload;           // kind == frame
   tp::Batch batch;              // kind == batch
   Status error = Status::ok();  // kind == closed; ok = orderly EOF
+};
+
+/// One connection's inbound stream → IngestEvents: frame reassembly plus
+/// DATA batch decoding. Control frames pass through as raw payloads; the
+/// ordering thread owns their semantics.
+class IngestDecoder {
+ public:
+  /// The next event on `fd`: a decoded batch, a raw frame, or — on EOF, a
+  /// read error or a malformed stream — `closed`, the last event. Reads the
+  /// socket only when no complete frame is buffered; nullopt once it would
+  /// block.
+  std::optional<IngestEvent> next(int fd);
+  /// Socket bytes read but not yet carried by an event.
+  std::size_t take_unattributed_bytes() noexcept { return std::exchange(unattributed_bytes_, 0); }
+
+ private:
+  net::FrameReader frames_;
+  std::size_t unattributed_bytes_ = 0;
+  /// The last read came back short, so the socket is empty: the next
+  /// call reports would-block without another read(2).
+  bool socket_drained_ = false;
 };
 
 /// Per-connection SPSC handoff lane. The assigned reader thread is the only
@@ -150,10 +174,9 @@ class ReaderThread {
  private:
   struct ConnState {
     std::shared_ptr<IngestLane> lane;
-    net::FrameReader frames;
+    IngestDecoder decoder;
     /// Events produced while the lane was full; drained before any new read.
     std::deque<IngestEvent> backlog;
-    std::size_t unattributed_bytes = 0;  // read but not yet carried by an event
     bool stalled = false;
     bool closed = false;    // closed event emitted; fd no longer polled
     bool released = false;  // released event emitted; never re-watch here
@@ -175,7 +198,8 @@ class ReaderThread {
   /// Moves backlog into the lane; false if the lane filled again.
   bool flush_backlog(ConnState& conn);
   void stall(ConnState& conn, int fd);
-  void finish(ConnState& conn, int fd, Status why);
+  /// Emits the decoder's `closed` event and stops polling the fd.
+  void finish(ConnState& conn, int fd, IngestEvent closed);
   void erase_if_done(int fd);
 
   ReaderConfig config_;

@@ -183,8 +183,7 @@ IsmStats Ism::stats() const noexcept {
       stats_.out_of_order_batches_dropped.load(std::memory_order_relaxed);
   out.idle_disconnects = stats_.idle_disconnects.load(std::memory_order_relaxed);
   out.sessions_expired = stats_.sessions_expired.load(std::memory_order_relaxed);
-  out.records_drained_on_expiry =
-      stats_.records_drained_on_expiry.load(std::memory_order_relaxed);
+  out.records_drained_on_expiry = pipeline_->stats().oob_records;
   out.acks_sent = stats_.acks_sent.load(std::memory_order_relaxed);
   out.heartbeats_received = stats_.heartbeats_received.load(std::memory_order_relaxed);
   out.credit_grants_sent = stats_.credit_grants_sent.load(std::memory_order_relaxed);
@@ -350,43 +349,13 @@ bool Ism::send_failure_is_fatal(Connection& conn, const Status& st) {
 }
 
 void Ism::on_connection_readable(int fd) {
-  auto it = connections_.find(fd);
-  if (it == connections_.end()) return;
-  Connection& conn = it->second;
-
-  std::uint8_t chunk[64 * 1024];
   for (;;) {
-    auto n = conn.socket.read_some(MutableByteSpan{chunk, sizeof chunk});
-    if (!n) {
-      if (n.status().code() == Errc::would_block) break;
-      close_connection(fd);
-      return;
-    }
-    if (n.value() == 0) {  // orderly close
-      close_connection(fd);
-      return;
-    }
-    conn.last_rx_us = monotonic_micros();
-    bump(stats_.bytes_received, n.value());
-    conn.reader.feed(ByteSpan{chunk, n.value()});
-    for (;;) {
-      auto frame = conn.reader.next();
-      if (!frame) {
-        bump(stats_.protocol_errors);
-        close_connection(fd);
-        return;
-      }
-      if (!frame.value().has_value()) break;
-      Status st = dispatch_frame(conn, frame.value()->view());
-      if (!st) {
-        if (st.code() != Errc::closed) {
-          bump(stats_.protocol_errors);
-          BRISK_LOG_WARN << "frame dispatch failed: " << st.to_string();
-        }
-        close_connection(fd);
-        return;
-      }
-    }
+    // Each event may close the connection: look it up again every time.
+    auto it = connections_.find(fd);
+    if (it == connections_.end()) return;
+    std::optional<IngestEvent> event = it->second.decoder.next(fd);
+    if (!event) return;
+    process_ingest_event(fd, std::move(*event));
   }
 }
 
@@ -574,13 +543,6 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
       // EXS's send gate, so it must go out before any BATCH_ACK.
       return send_ack(conn, tp::MsgType::hello_ack);
     }
-    case tp::MsgType::data_batch: {
-      if (!conn.hello_seen) return Status(Errc::malformed, "batch before hello");
-      auto batch = tp::decode_batch(decoder);
-      if (!batch) return batch.status();
-      handle_batch(conn, std::move(batch).value());
-      return Status::ok();
-    }
     case tp::MsgType::relay_batch: {
       if (!conn.hello_seen) return Status(Errc::malformed, "relay batch before hello");
       if (!conn.relay) {
@@ -754,7 +716,8 @@ void Ism::idle_work() {
   drain_ingest();
   if (metrics::consume_flight_dump_request()) metrics::dump_flight_recorders(stderr);
   maybe_emit_metrics();
-  pipeline_->service();
+  const TimeMicros due = pipeline_->service();
+  pipeline_due_at_ = due < 0 ? -1 : monotonic_micros() + due;
   session_sweep();
   // A tachyon asks for an extra sync round at once. The loop wakes whenever
   // a sorted record falls due, so each tachyon would get its own
@@ -767,12 +730,6 @@ void Ism::idle_work() {
     sync_service_->request_extra_round();
   }
   if (sync_service_) sync_service_->maybe_run_round();
-  // Sharded removals drain asynchronously; keep the counter in step with
-  // what has actually been drained so far (exact already in inline mode).
-  stats_.records_drained_on_expiry.store(pipeline_->stats().oob_records, std::memory_order_relaxed);
-  // Sharded mode flushes from the merger thread (the pipeline's flush
-  // hook); flushing here too would race it.
-  if (!pipeline_->threaded()) (void)output_->flush();
   // Time-windowed sinks (gateway aggregation subscriptions) close windows
   // against the merge's release watermark during lulls.
   output_->tick(pipeline_->release_watermark());
@@ -1082,14 +1039,8 @@ void Ism::expire_session(NodeId node) {
   flight_.record(sensors::EventKind::session_expired, node, drained, clock_.now());
   sessions_.erase(node);
   retire_drained_counter(node);
-  stats_.records_drained_on_expiry.store(pipeline_->stats().oob_records, std::memory_order_relaxed);
-  if (pipeline_->threaded()) {
-    BRISK_LOG_INFO << "session for node " << node << " expired (drain queued to shard "
-                   << shard_of_node(node, pipeline_->shard_count()) << ")";
-  } else {
-    BRISK_LOG_INFO << "session for node " << node << " expired (" << drained
-                   << " pending records drained)";
-  }
+  BRISK_LOG_INFO << "session for node " << node << " expired; its pending records drain"
+                 << " out of band through shard " << shard_of_node(node, pipeline_->shard_count());
 }
 
 void Ism::close_connection(int fd) {
@@ -1170,8 +1121,9 @@ int Ism::node_fd_by_index(std::size_t index) const {
 }
 
 TimeMicros Ism::next_wait_us() {
-  const TimeMicros due = pipeline_->next_due_in();
-  if (due >= 0 && due < config_.select_timeout_us) return std::max(due, kMinLoopWaitUs);
+  if (pipeline_due_at_ < 0) return config_.select_timeout_us;
+  const TimeMicros due = std::max<TimeMicros>(pipeline_due_at_ - monotonic_micros(), 0);
+  if (due < config_.select_timeout_us) return std::max(due, kMinLoopWaitUs);
   return config_.select_timeout_us;
 }
 
@@ -1205,7 +1157,6 @@ Status Ism::drain() {
   if (config_.metrics_interval_us > 0) emit_metrics_snapshot();
   Status st = pipeline_->drain();
   if (!st) return st;
-  stats_.records_drained_on_expiry.store(pipeline_->stats().oob_records, std::memory_order_relaxed);
   // drain(), not flush(): sinks with deferred work (the consumer gateway's
   // aggregation windows and TCP fan-out queues) complete it now.
   return output_->drain();

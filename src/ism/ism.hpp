@@ -8,15 +8,16 @@
 //   file, visual objects), with the clock-sync master loop polling the
 //   EXSes between cycles.
 //
-// Two ingest modes share this pipeline:
-//  * inline (reader_threads == 0, the paper-faithful default): one thread
-//    does everything — a single poller loop accepts, reads, decodes,
-//    matches, sorts, and emits.
-//  * threaded (reader_threads > 0): accept and all ordering-side semantics
-//    stay on this thread, while socket reads and batch decoding move to a
-//    pool of reader threads (see ingest.hpp). Each connection is pinned to
-//    one reader and hands events over a bounded SPSC lane, so per-node
-//    FIFO — and therefore the sorted output — is unchanged.
+// Ingest has one decoder (socket bytes → IngestEvents, see ingest.hpp),
+// run by one of two kinds of thread:
+//  * reader_threads == 0 (the paper-faithful default): one thread does
+//    everything — the poller loop accepts, reads and decodes, and hands
+//    each event straight to process_ingest_event.
+//  * reader_threads > 0: accept and all ordering-side semantics stay on
+//    this thread, while socket reads and batch decoding move to a pool of
+//    reader threads. Each connection is pinned to one reader and hands
+//    events over a bounded SPSC lane, so per-node FIFO — and therefore the
+//    sorted output — is unchanged.
 #pragma once
 
 #include <atomic>
@@ -65,8 +66,8 @@ struct IsmConfig {
   std::size_t reader_threads = 0;
   /// Per-connection SPSC lane depth (events) in threaded mode.
   std::size_t ingest_queue_frames = 1024;
-  /// Ordering shards (see pipeline.hpp). 1 = the single inline sorter; N > 1
-  /// runs N shard workers plus a k-way merger thread.
+  /// Ordering shards (see pipeline.hpp). 1 = one sorter the ordering thread
+  /// services itself; N > 1 runs N shard workers plus a k-way merger thread.
   std::size_t sorter_shards = 1;
   /// Depth (records) of each ordering shard's SPSC lanes in sharded mode.
   std::size_t shard_queue_records = 4096;
@@ -178,9 +179,9 @@ class Ism {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Runs the poll loop until stop(). Each wait lasts until the inline
-  /// sorter's next record is due, capped at select_timeout_us (the rule the
-  /// threaded shard workers apply to their own sorters).
+  /// Runs the poll loop until stop(). Each wait lasts until the pipeline's
+  /// next record is due, capped at select_timeout_us (the rule the shard
+  /// workers apply to their own sorters when they run).
   Status run();
   /// Runs for at most `duration` of monotonic time (tests and benches).
   Status run_for(TimeMicros duration);
@@ -213,7 +214,8 @@ class Ism {
   [[nodiscard]] const OrderingPipeline& pipeline() const noexcept { return *pipeline_; }
   /// Sorter counters aggregated over all ordering shards.
   [[nodiscard]] SorterStats sorter_stats() const { return pipeline_->sorter_stats(); }
-  [[nodiscard]] CreMatcher& cre() noexcept { return pipeline_->cre(); }
+  /// CRE matcher counters (safe from any thread; the merge owns the matcher).
+  [[nodiscard]] CreStats cre_stats() { return pipeline_->cre_stats(); }
   [[nodiscard]] clk::SyncService* sync() noexcept { return sync_service_.get(); }
   [[nodiscard]] std::size_t connected_nodes() const noexcept { return nodes_.size(); }
   /// Sessions tracked (live + quarantined); for tests and diagnostics.
@@ -223,7 +225,7 @@ class Ism {
  private:
   struct Connection {
     net::TcpSocket socket;
-    net::FrameReader reader;  // inline mode only; readers own it otherwise
+    IngestDecoder decoder;  // reader_threads == 0 only; readers own one otherwise
     /// Outbound frame buffer: acks/sync frames are enqueued whole and
     /// drained with write_some(), so a full kernel send buffer defers the
     /// frame instead of tearing it mid-write (the EXS-side equivalent is
@@ -348,8 +350,8 @@ class Ism {
   /// record, and emits the span list as a trace record behind it.
   void deliver_traced(const sensors::Record& record);
   void idle_work();
-  /// The next poll's timeout: min(select_timeout_us, pipeline next due),
-  /// floored at kMinLoopWaitUs.
+  /// The next poll's timeout: min(select_timeout_us, pipeline next due as
+  /// of the last service()), floored at kMinLoopWaitUs.
   TimeMicros next_wait_us();
   /// Idle reaping, quarantine expiry, and periodic BATCH_ACKs.
   void session_sweep();
@@ -399,6 +401,7 @@ class Ism {
   // --- threaded ingest -------------------------------------------------------
   /// Drains every connection's lane into the pipeline; resumes stalled fds.
   void drain_ingest();
+  /// Applies one decoded event, whichever thread decoded it.
   void process_ingest_event(int fd, IngestEvent event);
   /// fd of the index-th connected node (ordered by node id), or -1.
   int node_fd_by_index(std::size_t index) const;
@@ -425,6 +428,9 @@ class Ism {
   std::map<NodeId, int> nodes_;  // node id → fd (live connections only)
   std::map<NodeId, NodeSession> sessions_;
   std::unique_ptr<OrderingPipeline> pipeline_;
+  /// Monotonic time the pipeline's next record falls due, from the last
+  /// service(); -1 when none is pending (or the shard workers keep time).
+  TimeMicros pipeline_due_at_ = -1;
   /// Set by the pipeline's tachyon hook (merger thread when sharded);
   /// consumed on the ordering thread, which owns the sync service.
   std::atomic<bool> extra_sync_requested_{false};
@@ -462,7 +468,6 @@ class Ism {
     std::atomic<std::uint64_t> out_of_order_batches_dropped{0};
     std::atomic<std::uint64_t> idle_disconnects{0};
     std::atomic<std::uint64_t> sessions_expired{0};
-    std::atomic<std::uint64_t> records_drained_on_expiry{0};
     std::atomic<std::uint64_t> acks_sent{0};
     std::atomic<std::uint64_t> heartbeats_received{0};
     std::atomic<std::uint64_t> credit_grants_sent{0};

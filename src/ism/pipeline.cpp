@@ -48,19 +48,17 @@ struct OrderingPipeline::Shard {
   mutable std::mutex state_mutex;
   std::unique_ptr<OnlineSorter> sorter;
   /// Emissions while set are expiry drains: they ride the lane marked
-  /// out_of_band (threaded) or go straight to deliver_oob (inline).
+  /// out_of_band.
   bool oob_mode = false;
   /// When non-null (drain), emissions are collected here instead of
   /// entering the lane — the final merge wants them as a plain vector.
   std::vector<ShardOutput>* collect = nullptr;
-  /// Emissions that found the output lane full during shutdown; recovered
-  /// by drain() after the lane contents (emission order is preserved).
-  std::vector<ShardOutput> spill;
-  /// Inline federated mode only (no worker threads + relay lanes present):
-  /// sorter emissions stage here — guarded by merger_mutex_ — instead of
-  /// being delivered directly, so the ordering thread's merge_step can
-  /// interleave them with the relay lanes. Always empty when threaded.
-  std::deque<ShardOutput> inline_lane;
+  /// The output lane's overflow, read in order behind it: emissions that
+  /// found the lane full while a worker was stopping, or — without workers
+  /// — while the merge was gated. A worker fills it only once stopping and
+  /// drain() collects it after the join; without workers the ordering
+  /// thread owns both ends.
+  std::deque<ShardOutput> spill;
 
   std::mutex cmd_mutex;
   std::vector<NodeId> removals;  // session-expiry commands, ordering → shard
@@ -149,7 +147,7 @@ void OrderingPipeline::signal_merger() {
 Status OrderingPipeline::submit(sensors::Record record) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   Shard& shard = *shards_[shard_of_node(record.node, shards_.size())];
-  if (threads_running_.load(std::memory_order_acquire)) {
+  if (threaded()) {
     bool stalled = false;
     while (!shard.input.try_push(std::move(record))) {
       if (stop_.load(std::memory_order_relaxed)) break;  // worker is gone
@@ -170,52 +168,29 @@ Status OrderingPipeline::submit(sensors::Record record) {
   return shard.sorter->push(std::move(record));
 }
 
-void OrderingPipeline::service() {
-  if (threads_running_.load(std::memory_order_acquire)) return;
-  // relay_lanes_ is only ever mutated on this thread, so the unlocked
-  // emptiness probe is race-free; the merge itself runs under the mutex.
-  const bool federated = !relay_lanes_.empty();
+TimeMicros OrderingPipeline::service() {
+  if (threaded()) return -1;
+  TimeMicros next_due = -1;
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->state_mutex);
-    sensors::Record record;
-    while (shard->input.try_pop(record)) {
-      Status st = shard->sorter->push(std::move(record));
-      if (!st) {
-        BRISK_LOG_WARN << "sorter push failed: " << st.to_string();
-      }
+    TimeMicros due;
+    {
+      std::lock_guard<std::mutex> lk(shard->state_mutex);
+      due = shard_cycle(*shard);
     }
-    shard->sorter->service();
-    if (federated) {
-      // Inline shards normally never publish a watermark (emissions deliver
-      // directly); once relay lanes gate the merge they must make the same
-      // promise the threaded shard_cycle makes.
-      const TimeMicros wm = clock_.now() - shard->sorter->current_frame();
-      if (wm > shard->watermark.load(std::memory_order_relaxed)) {
-        shard->watermark.store(wm, std::memory_order_release);
-      }
-    }
+    if (due >= 0 && (next_due < 0 || due < next_due)) next_due = due;
   }
-  std::lock_guard<std::mutex> lk(merger_mutex_);
-  if (federated) merge_step();
-  cre_service();
-}
-
-TimeMicros OrderingPipeline::next_due_in() {
-  if (threads_running_.load(std::memory_order_acquire)) return -1;
-  TimeMicros next = -1;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->state_mutex);
-    if (shard->sorter->pending() == 0) continue;
-    // A record that fell due after service() ran is due now.
-    const TimeMicros due = std::max<TimeMicros>(shard->sorter->next_due_in(), 0);
-    if (next < 0 || due < next) next = due;
+  {
+    std::lock_guard<std::mutex> lk(merger_mutex_);
+    merge_step();
+    cre_service();
   }
-  return next;
+  flush_();
+  return next_due;
 }
 
 std::size_t OrderingPipeline::remove_node(NodeId node) {
   Shard& shard = *shards_[shard_of_node(node, shards_.size())];
-  if (threads_running_.load(std::memory_order_acquire)) {
+  if (threaded()) {
     {
       std::lock_guard<std::mutex> lk(shard.cmd_mutex);
       shard.removals.push_back(node);
@@ -223,10 +198,13 @@ std::size_t OrderingPipeline::remove_node(NodeId node) {
     signal_shard(shard);
     return 0;  // drained asynchronously; lands in stats().oob_records
   }
-  std::lock_guard<std::mutex> lk(shard.state_mutex);
-  shard.oob_mode = true;
-  const std::size_t drained = shard.sorter->remove_node(node);
-  shard.oob_mode = false;
+  std::size_t drained;
+  {
+    std::lock_guard<std::mutex> lk(shard.state_mutex);
+    drained = remove_pending(shard, node);
+  }
+  std::lock_guard<std::mutex> lk(merger_mutex_);
+  merge_step();
   return drained;
 }
 
@@ -247,16 +225,10 @@ Status OrderingPipeline::drain() {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::mutex> lk(shard.state_mutex);
-    // Emission order within a shard: lane contents, then inline stagings,
-    // then spill (emitted when the lane was already full), then whatever
-    // the flush releases.
+    // Emission order within a shard: lane contents, then spill (emitted
+    // when the lane was already full), then whatever the flush releases.
     ShardOutput out;
     while (shard.output.try_pop(out)) tails[i].push_back(std::move(out));
-    {
-      std::lock_guard<std::mutex> mk(merger_mutex_);
-      for (ShardOutput& staged : shard.inline_lane) tails[i].push_back(std::move(staged));
-      shard.inline_lane.clear();
-    }
     for (ShardOutput& spilled : shard.spill) tails[i].push_back(std::move(spilled));
     shard.spill.clear();
     sensors::Record record;
@@ -295,6 +267,7 @@ std::size_t OrderingPipeline::add_relay_lane(
   auto lane = std::make_unique<RelayLane>();
   lane->drained = std::move(drained);
   relay_lanes_.push_back(std::move(lane));
+  relay_lane_count_.store(relay_lanes_.size(), std::memory_order_release);
   return relay_lanes_.size() - 1;
 }
 
@@ -313,7 +286,6 @@ Status OrderingPipeline::submit_relay(std::size_t lane_index,
   // Watermark strictly after the records it covers are visible; a merge
   // interleaving between the two blocks under-releases, never over-releases.
   advance_relay_watermark(lane_index, watermark);
-  if (threads_running_.load(std::memory_order_acquire)) signal_merger();
   return Status::ok();
 }
 
@@ -323,22 +295,23 @@ void OrderingPipeline::advance_relay_watermark(std::size_t lane_index, TimeMicro
   if (watermark > lane.watermark.load(std::memory_order_relaxed)) {
     lane.watermark.store(watermark, std::memory_order_release);
   }
-  if (threads_running_.load(std::memory_order_acquire)) signal_merger();
+  if (!threaded()) return;
+  // The merge may be waiting on an idle shard's watermark, which the shard
+  // otherwise republishes only every poll timeout: wake the shards too, and
+  // they signal the merger once they have advanced it.
+  for (auto& shard : shards_) signal_shard(*shard);
+  signal_merger();
 }
 
 void OrderingPipeline::flush_relay_lane(std::size_t lane_index) {
   if (lane_index >= relay_lanes_.size()) return;
   relay_lanes_[lane_index]->flushed.store(true, std::memory_order_release);
-  if (threads_running_.load(std::memory_order_acquire)) signal_merger();
+  if (threaded()) signal_merger();
 }
 
 void OrderingPipeline::resume_relay_lane(std::size_t lane_index) {
   if (lane_index >= relay_lanes_.size()) return;
   relay_lanes_[lane_index]->flushed.store(false, std::memory_order_release);
-}
-
-std::size_t OrderingPipeline::relay_lane_count() const {
-  return relay_lanes_.size();
 }
 
 // ---- shard side -------------------------------------------------------------
@@ -351,27 +324,29 @@ void OrderingPipeline::shard_emit(Shard& shard, sensors::Record record) {
     shard.collect->push_back(ShardOutput{std::move(record), shard.oob_mode});
     return;
   }
-  if (threads_running_.load(std::memory_order_acquire)) {
-    push_output(shard, ShardOutput{std::move(record), shard.oob_mode});
-    return;
-  }
-  // Inline (shards == 1) or post-drain degraded mode: deliver directly —
-  // unless relay lanes exist, in which case local emissions must stage and
-  // interleave with the relay streams through merge_step (a direct delivery
-  // here would overtake relay records with smaller timestamps).
-  std::lock_guard<std::mutex> lk(merger_mutex_);
-  if (shard.oob_mode) {
-    deliver_oob(std::move(record));
-  } else if (!relay_lanes_.empty()) {
-    shard.inline_lane.push_back(ShardOutput{std::move(record), false});
-  } else {
-    deliver(std::move(record));
-  }
+  push_output(shard, ShardOutput{std::move(record), shard.oob_mode});
 }
 
 void OrderingPipeline::push_output(Shard& shard, ShardOutput out) {
-  while (!shard.output.try_push(std::move(out))) {
-    if (stop_.load(std::memory_order_relaxed)) {
+  if (!threaded()) {
+    // The calling thread is also the lane's only consumer, so it never
+    // spins on the lane: a full lane merges, and what a gated merge keeps
+    // back queues in the spill behind it.
+    if (shard.spill.empty()) {
+      if (shard.output.try_push(std::move(out))) return;
+      {
+        std::lock_guard<std::mutex> lk(merger_mutex_);
+        merge_step();
+      }
+      if (shard.output.try_push(std::move(out))) return;
+    }
+    shard.spill.push_back(std::move(out));
+    return;
+  }
+  // A stopping worker spills instead of spinning; once it has, later
+  // emissions queue behind the spill to keep emission order.
+  while (!shard.spill.empty() || !shard.output.try_push(std::move(out))) {
+    if (!shard.spill.empty() || stop_.load(std::memory_order_relaxed)) {
       shard.spill.push_back(std::move(out));
       return;
     }
@@ -384,17 +359,20 @@ void OrderingPipeline::push_output(Shard& shard, ShardOutput out) {
   shard.pending_signal = true;
 }
 
+std::size_t OrderingPipeline::remove_pending(Shard& shard, NodeId node) {
+  shard.oob_mode = true;
+  const std::size_t drained = shard.sorter->remove_node(node);
+  shard.oob_mode = false;
+  return drained;
+}
+
 TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
   std::vector<NodeId> removals;
   {
     std::lock_guard<std::mutex> lk(shard.cmd_mutex);
     removals.swap(shard.removals);
   }
-  for (NodeId node : removals) {
-    shard.oob_mode = true;
-    (void)shard.sorter->remove_node(node);
-    shard.oob_mode = false;
-  }
+  for (NodeId node : removals) (void)remove_pending(shard, node);
   sensors::Record record;
   while (shard.input.try_pop(record)) {
     Status st = shard.sorter->push(std::move(record));
@@ -409,15 +387,26 @@ TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
   if (wm > shard.watermark.load(std::memory_order_relaxed)) {
     shard.watermark.store(wm, std::memory_order_release);
   }
-  return shard.sorter->next_due_in();
+  if (shard.sorter->pending() == 0) return -1;
+  // A record that fell due after service() ran (T decays at its end) is
+  // due now.
+  return std::max<TimeMicros>(shard.sorter->next_due_in(), 0);
 }
 
 void OrderingPipeline::shard_loop(Shard& shard) {
   while (!stop_.load(std::memory_order_acquire)) {
+    // Only this thread writes the watermark.
+    const TimeMicros wm_before = shard.watermark.load(std::memory_order_relaxed);
     TimeMicros due;
     {
       std::lock_guard<std::mutex> lk(shard.state_mutex);
       due = shard_cycle(shard);
+    }
+    // An advanced watermark can release relay-lane records the merge holds
+    // back for this shard; shard lanes alone wake the merger by emitting.
+    if (shard.watermark.load(std::memory_order_relaxed) > wm_before &&
+        relay_lane_count_.load(std::memory_order_acquire) > 0) {
+      shard.pending_signal = true;
     }
     if (shard.pending_signal) {
       shard.pending_signal = false;
@@ -452,16 +441,15 @@ void OrderingPipeline::merger_loop() {
 }
 
 void OrderingPipeline::refill_head(std::size_t lane) {
+  Shard& shard = *shards_[lane];
   while (!heads_[lane]) {
+    // The spill continues the lane. A stopping worker may still be
+    // appending to it, so with workers only drain() reads it, after the join.
+    if (shard.output.empty() && (threaded() || shard.spill.empty())) return;
     ShardOutput out;
-    if (!shards_[lane]->output.try_pop(out)) {
-      // Inline federated mode stages emissions in inline_lane instead of
-      // the SPSC; only one of the two is ever active, so draining the SPSC
-      // first preserves emission order across a mode transition.
-      std::deque<ShardOutput>& staged = shards_[lane]->inline_lane;
-      if (staged.empty()) return;
-      out = std::move(staged.front());
-      staged.pop_front();
+    if (!shard.output.try_pop(out)) {  // the lane is empty: take the spill
+      out = std::move(shard.spill.front());
+      shard.spill.pop_front();
     }
     if (out.out_of_band) {
       // Expiry drains leave the merge immediately — a dead node's leftovers

@@ -30,9 +30,12 @@
 // after the reason passes; sink delivery and tachyon-driven extra sync
 // rounds both happen here, once, globally.
 //
-// shards == 1 (the default) is the paper-faithful mode: no worker threads,
-// no lanes — the single sorter, the CRE pass, and sink delivery all run
-// inline on the ordering thread, preserving PR 2's threading model exactly.
+// Every stage has one code path, run by threads chosen from the shard
+// count. shards > 1 runs N shard worker threads plus one merger thread.
+// shards == 1 (the default, paper-faithful) starts no threads: service(),
+// called from the ordering thread, runs the same shard cycle, output lane,
+// k-way merge and CRE pass the workers would. Starting workers at N == 1
+// was measured and lost on steady-state latency (EXPERIMENTS.md).
 #pragma once
 
 #include <atomic>
@@ -55,8 +58,9 @@
 namespace brisk::ism {
 
 struct PipelineConfig {
-  /// Ordering shards. 1 = inline single sorter (paper mode); N > 1 starts
-  /// N shard worker threads plus one merger thread.
+  /// Ordering shards. 1 = one sorter driven by the caller's service()
+  /// (paper mode); N > 1 starts N shard worker threads plus one merger
+  /// thread.
   std::size_t shards = 1;
   /// Depth (records) of each shard's input and output SPSC lane.
   std::size_t shard_queue_records = 4096;
@@ -91,8 +95,8 @@ class OrderingPipeline {
  public:
   /// Sorted + CRE-ordered records leave through `sink`; `flush` is the
   /// sink-flush hook (called from the merger thread when sharded, from
-  /// service() inline); `on_tachyon` must be thread-safe — it fires on the
-  /// merger thread when shards > 1.
+  /// service() otherwise); `on_tachyon` must be thread-safe — it fires on
+  /// the merger thread when shards > 1.
   using SinkFn = std::function<void(const sensors::Record&)>;
   using FlushFn = std::function<void()>;
   using TachyonFn = std::function<void()>;
@@ -108,28 +112,25 @@ class OrderingPipeline {
   /// drain, so this is bounded backpressure, not deadlock.
   Status submit(sensors::Record record);
 
-  /// Ordering-thread idle hook. Inline mode runs the sorter, the CRE pass,
-  /// and the sink flush here; sharded mode is a no-op (the workers own it).
-  void service();
-
-  /// Time until the earliest record pending in an inline sorter becomes
-  /// due (0 if one already is) — how long the ordering thread may sleep
-  /// after service(). -1 when nothing is pending, or when threaded (the
-  /// shard workers keep their own deadlines).
-  [[nodiscard]] TimeMicros next_due_in();
+  /// Ordering-thread idle hook. Without worker threads it does their work
+  /// here: the shard cycle of every shard, then the k-way merge, the CRE
+  /// pass and the sink flush. Returns the time until the earliest record
+  /// pending in a sorter becomes due (0 if one already is) — how long the
+  /// caller may sleep — or -1 when none is pending or the workers run.
+  TimeMicros service();
 
   /// Session expiry: drain `node`'s pending records out of band — they
   /// bypass the merge (a dead node must not stall or distort it) but still
   /// pass the CRE matcher, since they may be reasons a held consequence is
-  /// waiting for. Inline this is synchronous and returns the drained count;
-  /// sharded it is asynchronous, returns 0, and the count lands in
-  /// stats().oob_records once the shard processes the command.
+  /// waiting for. Without workers the drain runs now and returns the
+  /// drained count; sharded it is asynchronous and returns 0. Either way
+  /// the records are counted in stats().oob_records as they leave.
   std::size_t remove_node(NodeId node);
 
   /// Shutdown path: stops the worker threads, then deterministically
   /// flushes every shard and k-way merges the remainders — identical
-  /// output whatever the shard count. The pipeline stays usable afterwards
-  /// in degraded inline form (per-shard, merge-free) for late stragglers.
+  /// output whatever the shard count. Afterwards service() drives the
+  /// pipeline for late stragglers; drained lanes no longer gate the merge.
   Status drain();
 
   // ---- ordered ingress (federation relay lanes) ------------------------------
@@ -157,7 +158,6 @@ class OrderingPipeline {
   /// Re-arms a flushed lane when its relay session resumes (same lane keeps
   /// the dedupe cursor upstream; watermarks continue monotonically).
   void resume_relay_lane(std::size_t lane);
-  [[nodiscard]] std::size_t relay_lane_count() const;
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] bool threaded() const noexcept {
@@ -188,12 +188,6 @@ class OrderingPipeline {
   /// the pipeline runs (takes the merger mutex the owning thread holds
   /// during delivery).
   [[nodiscard]] CreStats cre_stats();
-  /// The global post-merge matcher. Mutating/statistical reads are safe
-  /// from the ordering thread only while the pipeline is not threaded (or
-  /// after drain()); the merger thread owns it while sharded. For live
-  /// counter reads use cre_stats().
-  [[nodiscard]] CreMatcher& cre() noexcept { return cre_; }
-  [[nodiscard]] const CreMatcher& cre() const noexcept { return cre_; }
 
  private:
   /// One unit on a shard → merger lane. Out-of-band entries (expiry drains)
@@ -219,15 +213,23 @@ class OrderingPipeline {
   void stop_threads();
   void shard_loop(Shard& shard);
   /// Commands + input drain + sorter service + watermark publish. Requires
-  /// the shard's state mutex. Returns the sorter's next-due hint.
+  /// the shard's state mutex. Returns the time until the sorter's next
+  /// record is due (0 if one already is), or -1 when it holds none.
   TimeMicros shard_cycle(Shard& shard);
+  /// Drains `node`'s pending records out of band. Requires the shard's
+  /// state mutex.
+  std::size_t remove_pending(Shard& shard, NodeId node);
   void shard_emit(Shard& shard, sensors::Record record);
+  /// Appends to the shard's output lane, or to its spill behind it. A
+  /// worker spins on a full lane; without workers the caller is also the
+  /// lane's consumer, so it merges instead and spills what it cannot take.
   void push_output(Shard& shard, ShardOutput out);
   void signal_shard(Shard& shard);
   void signal_merger();
   void merger_loop();
-  /// Tops up one cached lane head, routing out-of-band entries straight to
-  /// deliver_oob. Requires merger_mutex_.
+  /// Tops up one cached lane head from the shard's output lane, then its
+  /// spill, routing out-of-band entries straight to deliver_oob. Requires
+  /// merger_mutex_.
   void refill_head(std::size_t lane);
   /// Drains the shard lanes through the k-way merge as far as the
   /// watermarks allow, releasing records in runs up to the watermark front
@@ -254,11 +256,13 @@ class OrderingPipeline {
   /// Ordered-ingress lanes. Appended (never removed) by the ordering thread
   /// under merger_mutex_; the merge reads it under the same mutex.
   std::vector<std::unique_ptr<RelayLane>> relay_lanes_;
+  /// relay_lanes_.size(), readable from the shard threads.
+  std::atomic<std::size_t> relay_lane_count_{0};
   std::atomic<bool> threads_running_{false};
   std::atomic<bool> stop_{false};
 
   // ---- merger state (merger_mutex_; merger thread while sharded, the
-  // ordering thread inline and at drain) ---------------------------------------
+  // ordering thread otherwise and at drain) ------------------------------------
   std::mutex merger_mutex_;
   /// Cached lane heads: popped but not yet released by the watermark gate.
   std::vector<std::optional<ShardOutput>> heads_;

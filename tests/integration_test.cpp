@@ -209,7 +209,7 @@ TEST(IntegrationTest, CausalTachyonRepairedEndToEnd) {
   ASSERT_NE(conseq, nullptr);
   EXPECT_GT(conseq->timestamp, reason->timestamp)
       << "tachyon must be repaired: consequence ordered after its reason";
-  EXPECT_EQ(manager.value()->ism().cre().stats().tachyons_repaired, 1u);
+  EXPECT_EQ(manager.value()->ism().cre_stats().tachyons_repaired, 1u);
 }
 
 TEST(IntegrationTest, TachyonSyncRoundsRunAtMostOncePerSelectTimeout) {
@@ -256,7 +256,7 @@ TEST(IntegrationTest, TachyonSyncRoundsRunAtMostOncePerSelectTimeout) {
     exs_a.value()->stop();
     exs_b.value()->stop();
   }
-  EXPECT_EQ(manager.value()->ism().cre().stats().tachyons_repaired,
+  EXPECT_EQ(manager.value()->ism().cre_stats().tachyons_repaired,
             static_cast<std::uint64_t>(kPairs));
   // A loop woken by every due record would run one round per tachyon.
   const std::uint64_t extra_rounds = manager.value()->ism().sync()->extra_rounds_run();

@@ -10,6 +10,7 @@
 #include <mutex>
 
 #include "clock/clock.hpp"
+#include "common/time_util.hpp"
 #include "ism/cre_matcher.hpp"
 #include "ism/drop_policy.hpp"
 #include "ism/ingest.hpp"
@@ -621,7 +622,7 @@ TEST(OrderingPipelineTest, InlineSortsAcrossNodes) {
   ASSERT_TRUE(pipeline.submit(make_record(1, 1'000'300)));
   ASSERT_TRUE(pipeline.submit(make_record(2, 1'000'100)));
   ASSERT_TRUE(pipeline.submit(make_record(1, 1'000'500)));
-  pipeline.service();
+  EXPECT_EQ(pipeline.service(), 10'100) << "the earliest record falls due at ts + T";
   EXPECT_TRUE(capture.snapshot().empty()) << "inside the delay window";
 
   clock.set(1'011'000);
@@ -734,8 +735,78 @@ TEST(OrderingPipelineTest, CrossShardTachyonRepairedBehindMerge) {
   EXPECT_EQ(records[0].node, reason_node) << "reason must reach the sink first";
   EXPECT_EQ(records[1].node, conseq_node);
   EXPECT_EQ(records[1].timestamp, base + 1) << "consequence repaired past its reason";
-  EXPECT_EQ(pipeline.cre().stats().tachyons_repaired, 1u);
+  EXPECT_EQ(pipeline.cre_stats().tachyons_repaired, 1u);
   EXPECT_EQ(capture.tachyons.load(), 1);
+}
+
+// The merge gates a relay lane's records on every empty shard lane's
+// watermark, and an idle shard worker republishes its watermark only once
+// per poll timeout. A relay frame must wake the shards, and a shard that
+// advanced its watermark must wake the merger.
+TEST(OrderingPipelineTest, RelayRecordIsNotHeldBackByAnIdleShardsStaleWatermark) {
+  clk::Clock& clock = clk::SystemClock::instance();
+  PipelineConfig config;
+  config.shards = 2;
+  config.poll_timeout_us = 200'000;
+  config.sorter.initial_frame_us = 1'000;
+  config.sorter.min_frame_us = 1'000;
+  config.sorter.adaptive = false;
+  PipelineCapture capture;
+  OrderingPipeline pipeline(config, clock, capture.sink(), capture.flush(),
+                            capture.on_tachyon());
+  const std::size_t lane = pipeline.add_relay_lane(nullptr);
+  sleep_micros(5'000);
+  // Newer than the watermark the idle shards published at start-up, older
+  // than the one they would publish now (now - T).
+  const TimeMicros ts = clock.now() - 2'000;
+  std::vector<Record> batch;
+  batch.push_back(make_record(100, ts));
+  const TimeMicros submitted_at = monotonic_micros();
+  ASSERT_TRUE(pipeline.submit_relay(lane, std::move(batch), ts));
+  while (capture.snapshot().empty() && monotonic_micros() - submitted_at < 1'000'000) {
+    sleep_micros(1'000);
+  }
+  const TimeMicros waited = monotonic_micros() - submitted_at;
+  ASSERT_EQ(capture.snapshot().size(), 1u) << "relay record never delivered";
+  EXPECT_LT(waited, 100'000) << "held back until the shards' next 200 ms poll";
+}
+
+// Without workers the ordering thread is the output lane's only consumer,
+// so a full lane must not spin it: it merges, and while a lagging relay
+// watermark gates the merge it spills behind the lane. Once the relay
+// catches up every record comes out in (timestamp, node) order.
+TEST(OrderingPipelineTest, OrderingThreadSpillsBehindAFullLaneWhileTheMergeIsGated) {
+  clk::ManualClock clock(1'000'000);
+  PipelineConfig config;
+  config.shard_queue_records = 4;
+  config.sorter.initial_frame_us = 1'000;
+  config.sorter.min_frame_us = 1'000;
+  config.sorter.adaptive = false;
+  PipelineCapture capture;
+  OrderingPipeline pipeline(config, clock, capture.sink(), capture.flush(),
+                            capture.on_tachyon());
+  EXPECT_FALSE(pipeline.threaded());
+  const std::size_t lane = pipeline.add_relay_lane(nullptr);
+  for (TimeMicros i = 0; i < 6; ++i) {
+    ASSERT_TRUE(pipeline.submit(make_record(1, 1'000'100 + i * 10)));
+    ASSERT_TRUE(pipeline.submit(make_record(2, 1'000'100 + i * 10)));
+  }
+  clock.set(1'010'000);  // all 12 due: three times the lane depth
+  EXPECT_EQ(pipeline.service(), -1) << "the sorter emitted everything";
+  EXPECT_TRUE(capture.snapshot().empty()) << "the relay lane has promised nothing yet";
+
+  std::vector<Record> relay;
+  relay.push_back(make_record(50, 1'000'105));
+  relay.push_back(make_record(50, 1'000'200));
+  ASSERT_TRUE(pipeline.submit_relay(lane, std::move(relay), 1'000'200));
+  pipeline.service();
+  const auto records = capture.snapshot();
+  ASSERT_EQ(records.size(), 14u);
+  std::vector<std::pair<TimeMicros, NodeId>> keys;
+  for (const Record& r : records) keys.emplace_back(r.timestamp, r.node);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(keys[2], std::make_pair(TimeMicros{1'000'105}, NodeId{50}));
+  EXPECT_EQ(pipeline.stats().merge_inversions, 0u);
 }
 
 // ---- least-loaded accept placement ------------------------------------------------
