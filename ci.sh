@@ -48,7 +48,8 @@
 #  10. resilience: the crash/churn/fault-injection label on the same build
 #  11. sanitize: a separate ASan+UBSan tree running the resilience label
 #      (including the flow-control property suite), which is where lifetime
-#      and data-race-adjacent bugs actually surface
+#      and data-race-adjacent bugs actually surface, plus the output
+#      encoders that write records into stack buffers
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the window-update and ack-cadence tests, the
 #      flow-control property suite, the consumer-gateway
@@ -516,10 +517,15 @@ if [[ "$SKIP_SANITIZE" == 1 ]]; then
   exit 0
 fi
 
-echo "==> [11/12] ASan+UBSan build + resilience label"
+echo "==> [11/12] ASan+UBSan build + resilience label + output encoders"
 cmake -B build-asan -S . -DBRISK_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$JOBS"
 ctest --test-dir build-asan --output-on-failure -L resilience
+# The stack-buffer output encoders: the allocation-count binary (its counting
+# operator new allocates through the sanitizer's malloc), the shm sink and
+# the native codec.
+ctest --test-dir build-asan --output-on-failure --no-tests=error \
+  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest'
 
 echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null

@@ -1,6 +1,7 @@
 #include "ism/gateway.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 
@@ -22,16 +23,6 @@ constexpr std::size_t kOutboxLowWater = 64u << 10;
 /// Read chunk for consumer control frames (SUBSCRIBE/UNSUBSCRIBE are tiny).
 constexpr std::size_t kReadChunk = 4096;
 
-std::shared_ptr<const ByteBuffer> encode_data_frame(const sensors::Record& record) {
-  auto payload = encode_output_record(record);
-  if (!payload) return nullptr;
-  auto frame = std::make_shared<ByteBuffer>();
-  xdr::Encoder enc(*frame);
-  tp::put_type(tp::MsgType::sub_data, enc);
-  enc.put_opaque(payload.value().view());
-  return frame;
-}
-
 ByteBuffer encode_agg_frame(const tp::AggWindow& window) {
   ByteBuffer frame;
   xdr::Encoder enc(frame);
@@ -41,6 +32,18 @@ ByteBuffer encode_agg_frame(const tp::AggWindow& window) {
 }
 
 }  // namespace
+
+std::shared_ptr<const ByteBuffer> encode_data_frame(const sensors::Record& record) {
+  std::array<std::uint8_t, kMaxOutputRecordBytes> buf;
+  auto payload = encode_output_into(record, buf);
+  if (!payload) return nullptr;
+  auto frame = std::make_shared<ByteBuffer>(  // u32 message type + opaque
+      sizeof(std::uint32_t) + xdr::Encoder::opaque_wire_size(payload.value().size()));
+  xdr::Encoder enc(*frame);
+  tp::put_type(tp::MsgType::sub_data, enc);
+  enc.put_opaque(payload.value());
+  return frame;
+}
 
 Status GatewayConfig::validate() const {
   if (lane_records < 2) return Status(Errc::invalid_argument, "gateway lane too small");

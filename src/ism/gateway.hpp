@@ -331,4 +331,10 @@ class ConsumerGateway final : public Sink {
   std::vector<StatsEntry> stats_entries_;  // guarded by stats_mutex_
 };
 
+/// One SUB_DATA frame for `record`: the output-ring payload encoded on the
+/// stack, then written as an XDR opaque into a frame reserved at its exact
+/// size (two allocations: the shared block and the frame bytes). nullptr if
+/// the record does not encode.
+std::shared_ptr<const ByteBuffer> encode_data_frame(const sensors::Record& record);
+
 }  // namespace brisk::ism

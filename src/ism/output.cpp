@@ -1,31 +1,38 @@
 #include "ism/output.hpp"
 
+#include <array>
 #include <cstring>
 
 namespace brisk::ism {
 
-Result<ByteBuffer> encode_output_record(const sensors::Record& record) {
-  auto native = sensors::encode_native(record);
+Result<ByteSpan> encode_output_into(const sensors::Record& record, MutableByteSpan out) {
+  if (out.size() < kNodePrefixBytes) return Status(Errc::buffer_full, "node prefix");
+  std::memcpy(out.data(), &record.node, kNodePrefixBytes);
+  auto native = sensors::encode_native_into(record, out.subspan(kNodePrefixBytes));
   if (!native) return native.status();
-  ByteBuffer out;
-  std::uint8_t node_prefix[4];
-  std::memcpy(node_prefix, &record.node, 4);
-  out.append(node_prefix, 4);
-  out.append(native.value().view());
-  return out;
+  return ByteSpan{out.data(), kNodePrefixBytes + native.value().size()};
+}
+
+Result<ByteBuffer> encode_output_record(const sensors::Record& record) {
+  std::array<std::uint8_t, kMaxOutputRecordBytes> buf;
+  auto bytes = encode_output_into(record, buf);
+  if (!bytes) return bytes.status();
+  return ByteBuffer(bytes.value());
 }
 
 Result<sensors::Record> decode_output_record(ByteSpan bytes) {
-  if (bytes.size() < 4) return Status(Errc::truncated, "node prefix");
+  if (bytes.size() < kNodePrefixBytes) return Status(Errc::truncated, "node prefix");
   NodeId node = 0;
-  std::memcpy(&node, bytes.data(), 4);
-  return sensors::decode_native(bytes.subspan(4), node);
+  std::memcpy(&node, bytes.data(), kNodePrefixBytes);
+  return sensors::decode_native(bytes.subspan(kNodePrefixBytes), node);
 }
 
 Status ShmSink::accept(const sensors::Record& record) {
-  auto encoded = encode_output_record(record);
+  // Encoded on the stack like a NOTICE: no heap traffic on the merger thread.
+  std::array<std::uint8_t, kMaxOutputRecordBytes> buf;
+  auto encoded = encode_output_into(record, buf);
   if (!encoded) return encoded.status();
-  if (!ring_.try_push(encoded.value().view())) {
+  if (!ring_.try_push(encoded.value())) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return Status(Errc::buffer_full, "output ring full");
   }

@@ -100,7 +100,16 @@ class CallbackSink final : public Sink {
   Fn fn_;
 };
 
-/// Encodes a record (with its node id prefix) as placed in the output ring.
+/// Bytes of the node id prefix in front of each output-ring payload.
+inline constexpr std::size_t kNodePrefixBytes = sizeof(NodeId);
+/// Upper bound for one output-ring payload.
+inline constexpr std::size_t kMaxOutputRecordBytes =
+    kNodePrefixBytes + sensors::kMaxNativeRecordBytes;
+
+/// Encodes a record (with its node id prefix) as placed in the output ring,
+/// into `out`, with no heap allocation. Returns the encoded prefix of `out`.
+Result<ByteSpan> encode_output_into(const sensors::Record& record, MutableByteSpan out);
+/// encode_output_into, copied into an exact-size buffer (one allocation).
 Result<ByteBuffer> encode_output_record(const sensors::Record& record);
 /// Decodes one output-ring payload back into a record.
 Result<sensors::Record> decode_output_record(ByteSpan bytes);

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hpp"
 #include "common/time_util.hpp"
@@ -172,15 +173,16 @@ Status ExsCore::emit_metrics() {
   const auto samples = metrics_.snapshot();
   auto records = metrics::snapshot_to_records(samples, config_.node, clock_.now(),
                                               metrics_sequence_);
+  std::array<std::uint8_t, sensors::kMaxNativeRecordBytes> buf;
   for (const auto& record : records) {
-    auto native = sensors::encode_native(record);
+    auto native = sensors::encode_native_into(record, buf);
     if (!native) {
       ++transcode_errors_;
       continue;
     }
     // Through the batcher like any drained ring record: same correction,
     // same batching, same replay coverage across reconnects.
-    Status st = batcher_.add_native_record(native.value().view(), correction_);
+    Status st = batcher_.add_native_record(native.value(), correction_);
     if (!st) return st;
     ++records_forwarded_;
   }
@@ -189,12 +191,12 @@ Status ExsCore::emit_metrics() {
   for (const metrics::FlightEvent& event : flight_.drain_new(flight_cursor_)) {
     auto record = sensors::make_event_record(config_.node, metrics_sequence_++, clock_.now(),
                                              event.kind, event.subject, event.value, event.at);
-    auto native = sensors::encode_native(record);
+    auto native = sensors::encode_native_into(record, buf);
     if (!native) {
       ++transcode_errors_;
       continue;
     }
-    Status st = batcher_.add_native_record(native.value().view(), correction_);
+    Status st = batcher_.add_native_record(native.value(), correction_);
     if (!st) return st;
     ++records_forwarded_;
   }

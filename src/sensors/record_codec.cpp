@@ -1,5 +1,7 @@
 #include "sensors/record_codec.hpp"
 
+#include <array>
+
 namespace brisk::sensors {
 namespace {
 
@@ -150,9 +152,8 @@ Result<ByteSpan> RecordWriter::finish() noexcept {
   return ByteSpan{buf_.data(), pos_};
 }
 
-Result<ByteBuffer> encode_native(const Record& record) {
-  std::vector<std::uint8_t> scratch(kMaxNativeRecordBytes);
-  RecordWriter writer({scratch.data(), scratch.size()});
+Result<ByteSpan> encode_native_into(const Record& record, MutableByteSpan out) {
+  RecordWriter writer(out);
   if (!writer.begin(record.sensor, record.sequence, record.timestamp)) {
     return Status(Errc::buffer_full, "header");
   }
@@ -171,7 +172,12 @@ Result<ByteBuffer> encode_native(const Record& record) {
       }
     }
   }
-  auto bytes = writer.finish();
+  return writer.finish();
+}
+
+Result<ByteBuffer> encode_native(const Record& record) {
+  std::array<std::uint8_t, kMaxNativeRecordBytes> buf;
+  auto bytes = encode_native_into(record, buf);
   if (!bytes) return bytes.status();
   return ByteBuffer(bytes.value());
 }

@@ -98,7 +98,13 @@ class RecordWriter {
 };
 
 /// Encodes a decoded Record (minus its node id, which travels in the batch
-/// header) into the native format.
+/// header) into the native format, in `out`, with no heap allocation.
+/// Returns the encoded prefix of `out`; Errc::buffer_full if the record has
+/// too many or too large fields or trace stamps, or does not fit in `out`
+/// (kMaxNativeRecordBytes always fits a valid record).
+Result<ByteSpan> encode_native_into(const Record& record, MutableByteSpan out);
+
+/// encode_native_into, copied into an exact-size buffer (one allocation).
 Result<ByteBuffer> encode_native(const Record& record);
 
 /// Decodes a native record. `node` is supplied by the caller (from the

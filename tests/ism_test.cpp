@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 
 #include "clock/clock.hpp"
@@ -535,6 +536,94 @@ TEST(OutputTest, ShmSinkCountsDropsWhenRingFull) {
   for (int i = 0; i < 20; ++i) last = sink.accept(record);
   EXPECT_EQ(last.code(), Errc::buffer_full);
   EXPECT_GT(sink.dropped(), 0u);
+}
+
+// The output stream as consumers see it: no fields, the 6 x i32 workload
+// shape, 16 maximum-length strings, and a full trace tail.
+std::vector<Record> mixed_output_stream() {
+  std::vector<Record> stream;
+  Record empty = make_record(1, 10);
+  empty.fields.clear();
+  stream.push_back(empty);
+  Record ints = make_record(2, 20, 7);
+  ints.fields.assign(6, Field::i32(-123'456));
+  stream.push_back(ints);
+  Record strings = make_record(3'000'000'000u, 30, 65'000);
+  strings.fields.clear();
+  for (std::size_t i = 0; i < sensors::kMaxFieldsPerRecord; ++i) {
+    strings.fields.push_back(
+        Field::str(std::string(sensors::kMaxStringFieldBytes, static_cast<char>('a' + i))));
+  }
+  stream.push_back(strings);
+  Record traced = make_record(4, 40, 9);
+  traced.trace = sensors::TraceAnnotation{0x1234'5678'9abc'def0ULL, {}};
+  for (std::size_t i = 0; i < sensors::kMaxTraceStamps; ++i) {
+    traced.trace->stamps.push_back({static_cast<sensors::TraceStage>(i % sensors::kTraceStageCount),
+                                    static_cast<TimeMicros>(40 + i)});
+  }
+  stream.push_back(traced);
+  return stream;
+}
+
+TEST(OutputTest, ShmSinkWritesTheReferenceEncodingByteForByte) {
+  constexpr std::size_t kCapacity = 16 * 1024;
+  std::vector<std::uint8_t> memory_a(shm::RingBuffer::region_size(kCapacity));
+  std::vector<std::uint8_t> memory_b(shm::RingBuffer::region_size(kCapacity));
+  auto ring_a = shm::RingBuffer::init(memory_a.data(), kCapacity);
+  auto ring_b = shm::RingBuffer::init(memory_b.data(), kCapacity);
+  ASSERT_TRUE(ring_a.is_ok());
+  ASSERT_TRUE(ring_b.is_ok());
+  ShmSink sink(ring_a.value());
+  const std::vector<Record> stream = mixed_output_stream();
+  for (int round = 0; round < 8; ++round) {  // enough to wrap the ring's data area
+    for (const Record& record : stream) {
+      ASSERT_TRUE(sink.accept(record));
+      auto reference = encode_output_record(record);
+      ASSERT_TRUE(reference.is_ok());
+      ASSERT_TRUE(ring_b.value().try_push(reference.value().view()));
+    }
+    // Drain both rings the same way so later rounds wrap; what the sink
+    // wrote decodes back to the records it was given.
+    std::vector<std::uint8_t> bytes;
+    for (const Record& record : stream) {
+      bytes.clear();
+      ASSERT_TRUE(ring_a.value().try_pop(bytes));
+      auto decoded = decode_output_record(ByteSpan{bytes.data(), bytes.size()});
+      ASSERT_TRUE(decoded.is_ok());
+      EXPECT_EQ(decoded.value(), record);
+      bytes.clear();
+      ASSERT_TRUE(ring_b.value().try_pop(bytes));
+    }
+  }
+  for (const Record& record : stream) ASSERT_TRUE(sink.accept(record));
+  for (const Record& record : stream) {
+    ASSERT_TRUE(ring_b.value().try_push(encode_output_record(record).value().view()));
+  }
+  EXPECT_EQ(sink.delivered(), 9 * stream.size());
+  EXPECT_EQ(std::memcmp(memory_a.data(), memory_b.data(), memory_a.size()), 0);
+}
+
+TEST(OutputTest, ShmSinkRejectsAnUnencodableRecordWithoutTouchingTheRing) {
+  constexpr std::size_t kCapacity = 64 * 1024;
+  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(kCapacity));
+  auto ring = shm::RingBuffer::init(memory.data(), kCapacity);
+  ASSERT_TRUE(ring.is_ok());
+  ShmSink sink(ring.value());
+  ASSERT_TRUE(sink.accept(make_record(1, 1)));
+  const auto* header = reinterpret_cast<const shm::RingBuffer::Header*>(memory.data());
+  const std::uint64_t head = header->head.load();
+  const shm::RingStats before = ring.value().stats();
+
+  Record wide = make_record(1, 2);
+  wide.fields.assign(sensors::kMaxFieldsPerRecord + 1, Field::i32(5));
+  EXPECT_EQ(sink.accept(wide).code(), Errc::buffer_full);
+  EXPECT_EQ(encode_output_record(wide).status().code(), Errc::buffer_full);
+
+  EXPECT_EQ(header->head.load(), head);
+  EXPECT_EQ(ring.value().stats().pushed, before.pushed);
+  EXPECT_EQ(ring.value().stats().dropped, before.dropped);
+  EXPECT_EQ(sink.delivered(), 1u);
+  EXPECT_EQ(sink.dropped(), 0u);
 }
 
 TEST(OutputTest, EncodeDecodeOutputRecordPreservesNode) {

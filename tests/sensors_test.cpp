@@ -3,7 +3,9 @@
 // path, the Sensor/NOTICE macro, and the SensorRegistry.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
+#include <vector>
 
 #include "clock/clock.hpp"
 #include "sensors/record_codec.hpp"
@@ -129,6 +131,38 @@ TEST(NativeCodecTest, RoundTripsEveryFieldType) {
   auto decoded = decode_native(encoded.value().view(), original.node);
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded.value(), original);
+}
+
+TEST(NativeCodecTest, EncodeIntoRoundTripsATracedRecordInTheCallersSpan) {
+  Record record = make_full_record();
+  record.trace = TraceAnnotation{0xabcdef, {}};
+  for (std::size_t i = 0; i < kMaxTraceStamps; ++i) {
+    record.trace->stamps.push_back(
+        {static_cast<TraceStage>(i % kTraceStageCount), static_cast<TimeMicros>(1'000 + i)});
+  }
+  std::array<std::uint8_t, kMaxNativeRecordBytes> buf;
+  auto into = encode_native_into(record, buf);
+  ASSERT_TRUE(into.is_ok()) << into.status().to_string();
+  EXPECT_EQ(into.value().data(), buf.data()) << "the encoding is a prefix of the caller's span";
+  auto decoded = decode_native(into.value(), record.node);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded.value(), record);
+}
+
+TEST(NativeCodecTest, EncodeIntoReportsBufferFullOnAShortSpanOrTooManyFields) {
+  const Record record = make_full_record();
+  auto exact = encode_native(record);
+  ASSERT_TRUE(exact.is_ok());
+  std::vector<std::uint8_t> short_buf(exact.value().size() - 1);
+  EXPECT_EQ(encode_native_into(record, short_buf).status().code(), Errc::buffer_full);
+  std::vector<std::uint8_t> no_header(kNativeHeaderBytes - 1);
+  EXPECT_EQ(encode_native_into(record, no_header).status().code(), Errc::buffer_full);
+
+  Record wide;
+  wide.fields.assign(kMaxFieldsPerRecord + 1, Field::i32(1));
+  std::array<std::uint8_t, kMaxNativeRecordBytes> buf;
+  EXPECT_EQ(encode_native_into(wide, buf).status().code(), Errc::buffer_full);
+  EXPECT_EQ(encode_native(wide).status().code(), Errc::buffer_full);
 }
 
 TEST(NativeCodecTest, EmptyFieldsRecord) {
