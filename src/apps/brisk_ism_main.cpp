@@ -132,8 +132,19 @@ int main(int argc, char** argv) {
   config.ism.quarantine_timeout_us = flags.num("quarantine-us");
   config.ism.ack_period_us = flags.num("ack-period-us");
   config.ism.gap_skip_timeout_us = flags.num("gap-skip-us");
-  config.ism.credit_window_records = static_cast<std::uint32_t>(flags.num("ism-credit-records"));
-  config.ism.credit_window_bytes = static_cast<std::uint64_t>(flags.num("ism-credit-bytes"));
+  const long long credit_records = flags.num("ism-credit-records");
+  const long long credit_bytes = flags.num("ism-credit-bytes");
+  if (credit_records < 0 || credit_records > 0xFFFF'FFFFLL) {
+    std::fprintf(stderr, "brisk_ism: --ism-credit-records must be in [0, 4294967295], got %lld\n",
+                 credit_records);
+    return 2;
+  }
+  if (credit_bytes < 0) {
+    std::fprintf(stderr, "brisk_ism: --ism-credit-bytes must be >= 0, got %lld\n", credit_bytes);
+    return 2;
+  }
+  config.ism.credit_window_records = static_cast<std::uint32_t>(credit_records);
+  config.ism.credit_window_bytes = static_cast<std::uint64_t>(credit_bytes);
   config.ism.credit_replenish_us = flags.num("credit-replenish-us");
   const std::string relay_to = flags.str("relay-to");
   if (!relay_to.empty()) {

@@ -22,7 +22,6 @@ class EventQueue {
 
   void push(sensors::Record record, TimeMicros arrived_at) {
     queue_.push_back({std::move(record), arrived_at});
-    ++total_received_;
   }
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
@@ -36,27 +35,10 @@ class EventQueue {
   }
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
-  [[nodiscard]] std::uint64_t total_received() const noexcept { return total_received_; }
-
-  /// Cumulative ring drops the EXS has reported for this node.
-  void set_reported_drops(std::uint64_t drops) noexcept { reported_drops_ = drops; }
-  [[nodiscard]] std::uint64_t reported_drops() const noexcept { return reported_drops_; }
-
-  /// Batch continuity check: returns false when `batch_seq` is not the
-  /// expected next value (a gap means frames were lost or reordered, which
-  /// the TCP stream should make impossible).
-  bool accept_batch_seq(std::uint32_t batch_seq) noexcept {
-    const bool ok = batch_seq == next_batch_seq_;
-    next_batch_seq_ = batch_seq + 1;
-    return ok;
-  }
 
  private:
   NodeId node_;
   std::deque<QueuedRecord> queue_;
-  std::uint64_t total_received_ = 0;
-  std::uint64_t reported_drops_ = 0;
-  std::uint32_t next_batch_seq_ = 0;
 };
 
 }  // namespace brisk::ism

@@ -1,7 +1,6 @@
 #include "ism/ism.hpp"
 
 #include <poll.h>
-#include <sys/select.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -17,8 +16,15 @@
 namespace brisk::ism {
 namespace {
 
-inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t delta = 1) noexcept {
-  cell.fetch_add(delta, std::memory_order_relaxed);
+/// Paces a periodic task on monotonic time: true once per `interval`, the
+/// first call only setting the baseline; never when `interval` <= 0.
+bool interval_elapsed(TimeMicros& last, TimeMicros interval) {
+  if (interval <= 0) return false;
+  const TimeMicros now = monotonic_micros();
+  const bool baseline = last == 0;
+  if (!baseline && now - last < interval) return false;
+  last = now;
+  return !baseline;
 }
 
 }  // namespace
@@ -30,6 +36,7 @@ Ism::Ism(const IsmConfig& config, clk::Clock& clock, std::shared_ptr<Sink> outpu
       output_(std::move(output)),
       listener_(std::move(listener)),
       loop_(net::make_poller(config.poller)),
+      sessions_(config_, clock_, flight_),
       sync_transport_(*this) {
   PipelineConfig pipeline_config;
   pipeline_config.shards = config_.sorter_shards;
@@ -44,7 +51,7 @@ Ism::Ism(const IsmConfig& config, clk::Clock& clock, std::shared_ptr<Sink> outpu
         // Single exit of the ordering pipeline (normal and out-of-band
         // drains alike): the drained count here is what replenishes the
         // node's credit window.
-        note_record_drained(record.node);
+        sessions_.note_record_drained(record.node);
         if (record.trace) {
           deliver_traced(record);
           return;
@@ -165,6 +172,7 @@ void Ism::register_metrics() {
 }
 
 IsmStats Ism::stats() const noexcept {
+  const SessionCounters& s = sessions_.counters();
   IsmStats out;
   out.connections_accepted = stats_.connections_accepted.load(std::memory_order_relaxed);
   out.active_connections = stats_.active_connections.load(std::memory_order_relaxed);
@@ -172,23 +180,22 @@ IsmStats Ism::stats() const noexcept {
   out.records_received = stats_.records_received.load(std::memory_order_relaxed);
   out.bytes_received = stats_.bytes_received.load(std::memory_order_relaxed);
   out.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
-  out.ring_drops_reported = stats_.ring_drops_reported.load(std::memory_order_relaxed);
+  out.ring_drops_reported = s.ring_drops_reported.load(std::memory_order_relaxed);
   out.flow_control_drops = stats_.flow_control_drops.load(std::memory_order_relaxed);
   out.ingest_stalls = stats_.ingest_stalls.load(std::memory_order_relaxed);
-  out.batch_seq_gaps = stats_.batch_seq_gaps.load(std::memory_order_relaxed);
-  out.rejoins = stats_.rejoins.load(std::memory_order_relaxed);
-  out.duplicate_batches_dropped =
-      stats_.duplicate_batches_dropped.load(std::memory_order_relaxed);
+  out.batch_seq_gaps = s.batch_seq_gaps.load(std::memory_order_relaxed);
+  out.rejoins = s.rejoins.load(std::memory_order_relaxed);
+  out.duplicate_batches_dropped = s.duplicate_batches_dropped.load(std::memory_order_relaxed);
   out.out_of_order_batches_dropped =
-      stats_.out_of_order_batches_dropped.load(std::memory_order_relaxed);
+      s.out_of_order_batches_dropped.load(std::memory_order_relaxed);
   out.idle_disconnects = stats_.idle_disconnects.load(std::memory_order_relaxed);
-  out.sessions_expired = stats_.sessions_expired.load(std::memory_order_relaxed);
+  out.sessions_expired = s.sessions_expired.load(std::memory_order_relaxed);
   out.records_drained_on_expiry = pipeline_->stats().oob_records;
-  out.acks_sent = stats_.acks_sent.load(std::memory_order_relaxed);
+  out.acks_sent = s.acks_sent.load(std::memory_order_relaxed);
   out.heartbeats_received = stats_.heartbeats_received.load(std::memory_order_relaxed);
-  out.credit_grants_sent = stats_.credit_grants_sent.load(std::memory_order_relaxed);
-  out.zero_window_grants = stats_.zero_window_grants.load(std::memory_order_relaxed);
-  out.window_update_acks = stats_.window_update_acks.load(std::memory_order_relaxed);
+  out.credit_grants_sent = s.credit_grants_sent.load(std::memory_order_relaxed);
+  out.zero_window_grants = s.zero_window_grants.load(std::memory_order_relaxed);
+  out.window_update_acks = s.window_update_acks.load(std::memory_order_relaxed);
   out.reader_migrations = stats_.reader_migrations.load(std::memory_order_relaxed);
   return out;
 }
@@ -393,6 +400,12 @@ void Ism::process_ingest_event(int fd, IngestEvent event) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   Connection& conn = it->second;
+  // Inline mode never decodes past a close; a reader may have queued more
+  // behind it. Of a closing connection only `closed`/`released` matter.
+  if (conn.closing &&
+      (event.kind == IngestEvent::Kind::batch || event.kind == IngestEvent::Kind::frame)) {
+    return;
+  }
   conn.last_rx_us = monotonic_micros();
   bump(stats_.bytes_received, event.wire_bytes);
 
@@ -413,13 +426,6 @@ void Ism::process_ingest_event(int fd, IngestEvent event) {
         bump(stats_.protocol_errors);
         close_connection(fd);
         return;
-      }
-      // Feed placement: the reader's load is the records it drains, not the
-      // connections it happens to hold.
-      if (conn.reader_index < reader_rates_.size()) {
-        reader_rates_[conn.reader_index] +=
-            static_cast<double>(event.batch.records.size());
-        conn.drained_rate += static_cast<double>(event.batch.records.size());
       }
       handle_batch(conn, std::move(event.batch));
       return;
@@ -489,55 +495,22 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
         return Status(Errc::already_exists, "node id already connected");
       }
       conn.node = hello.value().node;
-      conn.version = hello.value().version;
       conn.hello_seen = true;
       if (config_.flow_control_rate_per_sec > 0.0) {
         conn.flow_control = std::make_unique<TokenBucket>(config_.flow_control_rate_per_sec,
                                                           config_.flow_control_burst);
       }
       nodes_[conn.node] = conn.socket.fd();
-
-      auto [sit, fresh] = sessions_.try_emplace(conn.node);
-      NodeSession& session = sit->second;
-      if (fresh || session.incarnation != hello.value().incarnation) {
-        // New node, or the EXS process restarted: its batch_seq starts over
-        // at zero, so the cursor must too (the quarantined queue of a
-        // previous incarnation, if any, stays and drains normally).
-        session = NodeSession{};
-        session.incarnation = hello.value().incarnation;
-        BRISK_LOG_INFO << "node " << conn.node << " connected (incarnation "
-                       << hello.value().incarnation << ")";
-      } else {
-        bump(stats_.rejoins);
-        flight_.record(sensors::EventKind::session_rejoined, conn.node,
-                       session.next_batch_seq, clock_.now());
-        BRISK_LOG_INFO << "node " << conn.node << " rejoined at batch seq "
-                       << session.next_batch_seq;
-      }
-      session.connected = true;
-      session.disconnected_at = 0;
-      session.hole_since = 0;
+      const SessionTable::Hello joined = sessions_.hello(
+          conn.node, hello.value().incarnation, hello.value().version, ordered_stream);
       if (ordered_stream) {
-        // Relay session: its drained cell is bumped by the merge as it
-        // releases lane records (forwarded records carry *origin* node ids,
-        // so the per-node COW map would never find this session). Do not
-        // publish it there.
         conn.relay = true;
-        if (!session.has_relay_lane) {
-          session.records_drained = std::make_shared<std::atomic<std::uint64_t>>(0);
-          session.relay_lane = pipeline_->add_relay_lane(session.records_drained);
-          session.has_relay_lane = true;
-        } else {
-          pipeline_->resume_relay_lane(session.relay_lane);
-        }
-        conn.relay_lane = session.relay_lane;
+        conn.relay_lane =
+            joined.relay_lane ? *joined.relay_lane : pipeline_->add_relay_lane(joined.drained);
+        sessions_.bind_relay_lane(conn.node, conn.relay_lane);
+        pipeline_->resume_relay_lane(conn.relay_lane);  // a rejoin reopens its flushed lane
         BRISK_LOG_INFO << "node " << conn.node << " is a relay (ordered-ingress lane "
-                       << session.relay_lane << ")";
-      } else if (credits_enabled() && !session.records_drained) {
-        // Fresh session (or an incarnation reset wiped the old one): give it
-        // a drained cell and publish it for the pipeline-sink hook.
-        session.records_drained = std::make_shared<std::atomic<std::uint64_t>>(0);
-        publish_drained_counter(conn.node, session.records_drained);
+                       << conn.relay_lane << ")";
       }
       // The HELLO_ACK cursor tells the EXS where to resume; it releases the
       // EXS's send gate, so it must go out before any BATCH_ACK.
@@ -584,66 +557,35 @@ Status Ism::dispatch_frame(Connection& conn, ByteSpan payload) {
   }
 }
 
-bool Ism::admit_batch_seq(const Connection& conn, NodeSession& session, std::uint32_t seq) {
-  if (seq == session.next_batch_seq) {
-    session.next_batch_seq = seq + 1;
-    session.hole_since = 0;
-    return true;
+bool Ism::admit_batch(Connection& conn, std::uint32_t seq, std::uint64_t ring_dropped_total,
+                      std::size_t records) {
+  bump(stats_.batches_received);
+  // Feed placement: the reader's load is the records it drains, not the
+  // connections it happens to hold.
+  if (conn.reader_index < reader_rates_.size()) {
+    reader_rates_[conn.reader_index] += static_cast<double>(records);
+    conn.drained_rate += static_cast<double>(records);
   }
-  if (seq < session.next_batch_seq) {
-    // Already applied — a replay after a reconnect, or a duplicated frame.
-    bump(stats_.duplicate_batches_dropped);
-    return false;
-  }
-  // seq > cursor: a batch went missing in flight. Go-back-N: drop everything
-  // above the hole and let the stuck ack cursor trigger the EXS's resend,
-  // which starts at the missing batch.
-  const TimeMicros now = monotonic_micros();
-  if (session.hole_since == 0) {
-    session.hole_since = now;
-    session.lowest_pending_seq = seq;
-  } else if (seq < session.lowest_pending_seq) {
-    session.lowest_pending_seq = seq;
-  }
-  bump(stats_.out_of_order_batches_dropped);
-  if (config_.gap_skip_timeout_us > 0 &&
-      now - session.hole_since >= config_.gap_skip_timeout_us) {
-    // The resend never came: the EXS evicted the missing batches from its
-    // replay buffer (declared loss). Jump the cursor to the lowest batch
-    // still on offer so the stream can make progress again.
-    bump(stats_.batch_seq_gaps);
-    flight_.record(sensors::EventKind::batch_gap, conn.node,
-                   session.lowest_pending_seq - session.next_batch_seq, clock_.now());
-    BRISK_LOG_WARN << "node " << conn.node << " declaring batch gap: "
-                   << session.next_batch_seq << ".." << session.lowest_pending_seq - 1;
-    session.next_batch_seq = session.lowest_pending_seq;
-    session.hole_since = 0;
-    if (seq == session.next_batch_seq) {
-      session.next_batch_seq = seq + 1;
-      return true;
-    }
-  }
-  return false;
+  if (!sessions_.admit(conn.node, seq, ring_dropped_total, monotonic_micros())) return false;
+  bump(stats_.records_received, records);
+  return true;
 }
 
 void Ism::handle_batch(Connection& conn, tp::Batch batch) {
-  bump(stats_.batches_received);
-  NodeSession& session = sessions_[conn.node];
-  if (!admit_batch_seq(conn, session, batch.header.batch_seq)) return;
-  bump(stats_.records_received, batch.records.size());
-  if (batch.header.ring_dropped_total >= session.ring_dropped_total) {
-    bump(stats_.ring_drops_reported, batch.header.ring_dropped_total - session.ring_dropped_total);
-    session.ring_dropped_total = batch.header.ring_dropped_total;
+  if (!admit_batch(conn, batch.header.batch_seq, batch.header.ring_dropped_total,
+                   batch.records.size())) {
+    return;
   }
+  // Credits account only records that actually enter the pipeline —
+  // flow-control drops never become backlog.
+  std::uint64_t admitted = 0;
   for (sensors::Record& record : batch.records) {
     if (conn.flow_control && !conn.flow_control->admit(clock_.now())) {
       bump(stats_.flow_control_drops);
       continue;
     }
     record.node = conn.node;
-    // Credits account only records that actually enter the pipeline —
-    // flow-control drops above never become backlog.
-    ++session.records_admitted;
+    ++admitted;
     if (record.trace) {
       // Ordering-thread stamp: the ingest side of the pipeline admitted the
       // decoded record (reader threads decode but do not stamp — the
@@ -652,25 +594,18 @@ void Ism::handle_batch(Connection& conn, tp::Batch batch) {
     }
     route_record(std::move(record));
   }
-  maybe_send_window_update(conn, session);
+  // A failed window update is left to the sweep's next ack, which
+  // classifies it (transient buffer_full vs. dead peer).
+  if (sessions_.admitted(conn.node, admitted)) (void)send_ack(conn, tp::MsgType::batch_ack);
 }
 
 void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
-  bump(stats_.batches_received);
-  NodeSession& session = sessions_[conn.node];
-  if (!admit_batch_seq(conn, session, batch.header.batch_seq)) return;
-  bump(stats_.records_received, batch.records.size());
+  const std::size_t records = batch.records.size();
+  if (!admit_batch(conn, batch.header.batch_seq, 0, records)) return;
   // No token bucket and no per-record rerouting: the relay already paced
   // (its own credit window) and each record keeps the origin node id the
   // decoder restored. Dropping or reordering here would break the lane's
   // sorted-stream invariant.
-  session.records_admitted += batch.records.size();
-  // Relay batches reach here as raw frame events, so the reader drained-rate
-  // accounting in process_ingest_event never saw them; credit them here.
-  if (conn.reader_index < reader_rates_.size()) {
-    reader_rates_[conn.reader_index] += static_cast<double>(batch.records.size());
-    conn.drained_rate += static_cast<double>(batch.records.size());
-  }
   for (sensors::Record& record : batch.records) {
     if (record.trace) {
       record.trace->stamp(sensors::TraceStage::ism_ingest, clock_.now());
@@ -681,7 +616,7 @@ void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
   if (!st) {
     BRISK_LOG_WARN << "relay lane submit failed: " << st.to_string();
   }
-  maybe_send_window_update(conn, session);
+  if (sessions_.admitted(conn.node, records)) (void)send_ack(conn, tp::MsgType::batch_ack);
 }
 
 void Ism::route_record(sensors::Record record) {
@@ -737,14 +672,7 @@ void Ism::idle_work() {
 }
 
 void Ism::maybe_log_stats() {
-  if (config_.stats_interval_us <= 0) return;
-  const TimeMicros now = monotonic_micros();
-  if (last_stats_log_us_ == 0) {  // baseline; first line after one interval
-    last_stats_log_us_ = now;
-    return;
-  }
-  if (now - last_stats_log_us_ < config_.stats_interval_us) return;
-  last_stats_log_us_ = now;
+  if (!interval_elapsed(last_stats_log_us_, config_.stats_interval_us)) return;
   // The log line is just another consumer of the metrics snapshot — the
   // same samples the metrics records are rendered from.
   const std::vector<metrics::Sample> samples = metrics_.snapshot();
@@ -775,15 +703,9 @@ void Ism::maybe_log_stats() {
 }
 
 void Ism::maybe_emit_metrics() {
-  if (config_.metrics_interval_us <= 0) return;
-  const TimeMicros now = monotonic_micros();
-  if (last_metrics_emit_us_ == 0) {  // baseline; first snapshot after one interval
-    last_metrics_emit_us_ = now;
-    return;
+  if (interval_elapsed(last_metrics_emit_us_, config_.metrics_interval_us)) {
+    emit_metrics_snapshot();
   }
-  if (now - last_metrics_emit_us_ < config_.metrics_interval_us) return;
-  last_metrics_emit_us_ = now;
-  emit_metrics_snapshot();
 }
 
 void Ism::emit_metrics_snapshot() {
@@ -816,101 +738,23 @@ Status Ism::send_frame(Connection& conn, ByteSpan payload) {
   return st;
 }
 
-tp::CreditGrant Ism::build_credit_grant(NodeSession& session) const noexcept {
-  const std::uint64_t drained =
-      session.records_drained
-          ? session.records_drained->load(std::memory_order_relaxed)
-          : 0;
-  const std::uint64_t backlog =
-      session.records_admitted > drained ? session.records_admitted - drained : 0;
-  tp::CreditGrant grant;
-  grant.incarnation = session.incarnation;
-  grant.window_records =
-      backlog < config_.credit_window_records
-          ? config_.credit_window_records - static_cast<std::uint32_t>(backlog)
-          : 0;
-  grant.window_bytes = config_.credit_window_bytes;
-  return grant;
-}
-
-void Ism::note_record_drained(NodeId node) noexcept {
-  if (config_.credit_window_records == 0) return;
-  const auto map = std::atomic_load_explicit(&drained_counters_, std::memory_order_acquire);
-  if (!map) return;
-  const auto it = map->find(node);
-  if (it != map->end()) it->second->fetch_add(1, std::memory_order_relaxed);
-}
-
-void Ism::publish_drained_counter(NodeId node,
-                                  std::shared_ptr<std::atomic<std::uint64_t>> cell) {
-  const auto old = std::atomic_load_explicit(&drained_counters_, std::memory_order_acquire);
-  auto next = old ? std::make_shared<DrainedMap>(*old) : std::make_shared<DrainedMap>();
-  (*next)[node] = std::move(cell);
-  std::atomic_store_explicit(&drained_counters_,
-                             std::shared_ptr<const DrainedMap>(std::move(next)),
-                             std::memory_order_release);
-}
-
-void Ism::retire_drained_counter(NodeId node) {
-  const auto old = std::atomic_load_explicit(&drained_counters_, std::memory_order_acquire);
-  if (!old || old->count(node) == 0) return;
-  auto next = std::make_shared<DrainedMap>(*old);
-  next->erase(node);
-  std::atomic_store_explicit(&drained_counters_,
-                             std::shared_ptr<const DrainedMap>(std::move(next)),
-                             std::memory_order_release);
-}
-
 Status Ism::send_ack(Connection& conn, tp::MsgType type) {
-  NodeSession& session = sessions_[conn.node];
-  // Grants piggyback on both ack shapes, but only towards peers that speak
-  // the credit extension — a v2 EXS gets byte-identical v2 acks.
-  const bool grant_credits =
-      credits_enabled() && conn.version >= tp::kCreditProtocolVersion;
-  std::optional<tp::CreditGrant> credit;
-  if (grant_credits) {
-    credit = build_credit_grant(session);
-    session.last_granted_records = credit->window_records;
-    bump(stats_.credit_grants_sent);
-    if (credit->window_records == 0) {
-      bump(stats_.zero_window_grants);
-      flight_.record(sensors::EventKind::zero_window_grant, conn.node,
-                     config_.credit_window_records, clock_.now());
-    }
-  }
+  const std::optional<tp::HelloAck> ack = sessions_.ack(conn.node);
+  if (!ack) return Status::ok();  // no session: nothing to acknowledge
   ByteBuffer out;
   xdr::Encoder enc(out);
   tp::put_type(type, enc);
   if (type == tp::MsgType::hello_ack) {
-    tp::HelloAck ack;
-    ack.incarnation = session.incarnation;
-    ack.next_expected_seq = session.next_batch_seq;
-    ack.credit = credit;
-    tp::encode_hello_ack(ack, enc);
+    tp::encode_hello_ack(*ack, enc);
   } else {
-    tp::BatchAck ack;
-    ack.next_expected_seq = session.next_batch_seq;
-    ack.credit = credit;
-    tp::encode_batch_ack(ack, enc);
+    tp::encode_batch_ack({ack->next_expected_seq, ack->credit}, enc);
   }
-  bump(stats_.acks_sent);
-  session.admitted_at_last_ack = session.records_admitted;
   const Status st = send_frame(conn, out.view());
   // Stamped after the write: a write that stalled past the ack period must
   // not be followed at once by a second ack naming the same cursor — the
   // EXS reads a repeated cursor as loss and resends.
   conn.last_ack_sent_us = monotonic_micros();
   return st;
-}
-
-void Ism::maybe_send_window_update(Connection& conn, NodeSession& session) {
-  if (!credits_enabled() || conn.version < tp::kCreditProtocolVersion) return;
-  const std::uint64_t threshold = std::max<std::uint64_t>(config_.credit_window_records / 2, 1);
-  if (session.records_admitted - session.admitted_at_last_ack < threshold) return;
-  bump(stats_.window_update_acks);
-  // A failed send is left to the sweep's next ack, which classifies it
-  // (transient buffer_full vs. dead peer) and reaps the connection if needed.
-  (void)send_ack(conn, tp::MsgType::batch_ack);
 }
 
 void Ism::session_sweep() {
@@ -941,21 +785,7 @@ void Ism::session_sweep() {
   std::vector<int> failed;
   for (auto& [fd, conn] : connections_) {
     if (!conn.hello_seen || conn.closing) continue;
-    TimeMicros period = config_.ack_period_us;
-    if (credits_enabled() && config_.credit_replenish_us > 0 &&
-        config_.credit_replenish_us < period &&
-        conn.version >= tp::kCreditProtocolVersion) {
-      // A below-full grant means the node has in-pipeline backlog — its
-      // EXS may be window-stalled right now, and the re-grant on the next
-      // ack is the only thing that reopens it. Ack faster until the
-      // window is back to full.
-      const auto sit = sessions_.find(conn.node);
-      if (sit != sessions_.end() &&
-          sit->second.last_granted_records < config_.credit_window_records) {
-        period = config_.credit_replenish_us;
-      }
-    }
-    if (now - conn.last_ack_sent_us < period) continue;
+    if (now - conn.last_ack_sent_us < sessions_.ack_period(conn.node)) continue;
     Status st = send_ack(conn, tp::MsgType::batch_ack);
     if (!st && send_failure_is_fatal(conn, st)) {
       // A genuine socket error, or the outbox has been wedged at its cap
@@ -987,14 +817,7 @@ void Ism::session_sweep() {
   }
 
   // Quarantine expiry: forget sessions whose node never came back.
-  std::vector<NodeId> expired;
-  for (const auto& [node, session] : sessions_) {
-    if (session.connected) continue;
-    if (now - session.disconnected_at >= config_.quarantine_timeout_us) {
-      expired.push_back(node);
-    }
-  }
-  for (NodeId node : expired) expire_session(node);
+  for (NodeId node : sessions_.expired(now)) expire_session(node);
 }
 
 void Ism::maybe_migrate_connection(TimeMicros now) {
@@ -1034,11 +857,7 @@ void Ism::maybe_migrate_connection(TimeMicros now) {
 }
 
 void Ism::expire_session(NodeId node) {
-  const std::size_t drained = pipeline_->remove_node(node);
-  bump(stats_.sessions_expired);
-  flight_.record(sensors::EventKind::session_expired, node, drained, clock_.now());
-  sessions_.erase(node);
-  retire_drained_counter(node);
+  sessions_.expire(node, pipeline_->remove_node(node));
   BRISK_LOG_INFO << "session for node " << node << " expired; its pending records drain"
                  << " out of band through shard " << shard_of_node(node, pipeline_->shard_count());
 }
@@ -1058,23 +877,11 @@ void Ism::close_connection(int fd) {
     }
     if (conn.hello_seen) {
       nodes_.erase(conn.node);
-      auto sit = sessions_.find(conn.node);
-      if (sit != sessions_.end()) {
-        if (conn.saw_bye) {
-          // Clean shutdown: forget the cursor but let anything still pending
-          // drain through the sorter in timestamp order, merged with the
-          // other nodes — only crashed sessions get the out-of-band drain.
-          sessions_.erase(sit);
-          retire_drained_counter(conn.node);
-        } else if (config_.quarantine_timeout_us == 0) {
-          expire_session(conn.node);
-        } else {
-          sit->second.connected = false;
-          sit->second.disconnected_at = monotonic_micros();
-          sit->second.hole_since = 0;
-          flight_.record(sensors::EventKind::session_quarantined, conn.node, 0,
-                         clock_.now());
-        }
+      // Only crashed sessions get the out-of-band drain; a BYE's pending
+      // records drain through the sorter, merged with the other nodes.
+      if (sessions_.disconnect(conn.node, conn.saw_bye, monotonic_micros()) ==
+          SessionTable::Departure::expire_now) {
+        expire_session(conn.node);
       }
     }
   }
@@ -1098,12 +905,8 @@ void Ism::close_connection(int fd) {
 void Ism::finish_close(int fd) {
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
-  if (!threaded()) {
-    (void)loop_->unwatch(fd);
-  } else if (it->second.want_writable) {
-    // Threaded mode only registers this fd here for write readiness.
-    (void)loop_->unwatch(fd);
-  }
+  // Threaded mode only registers the fd here for write readiness.
+  if (!threaded() || it->second.want_writable) (void)loop_->unwatch(fd);
   if (it->second.lane && reader_loads_[it->second.reader_index] > 0) {
     --reader_loads_[it->second.reader_index];
   }
@@ -1111,13 +914,10 @@ void Ism::finish_close(int fd) {
   stats_.active_connections.store(connections_.size(), std::memory_order_relaxed);
 }
 
-int Ism::node_fd_by_index(std::size_t index) const {
-  std::size_t i = 0;
-  for (const auto& [node, fd] : nodes_) {
-    if (i == index) return fd;
-    ++i;
-  }
-  return -1;
+Ism::Connection* Ism::slave(std::size_t index) {
+  if (index >= nodes_.size()) return nullptr;
+  const auto it = connections_.find(std::next(nodes_.begin(), index)->second);
+  return it == connections_.end() ? nullptr : &it->second;
 }
 
 TimeMicros Ism::next_wait_us() {
@@ -1128,11 +928,9 @@ TimeMicros Ism::next_wait_us() {
 }
 
 Status Ism::run() {
-  while (!loop_->stopped()) {
-    auto polled = loop_->poll_once(next_wait_us());
-    if (!polled) return polled.status();
-  }
-  return Status::ok();
+  Status st = Status::ok();
+  while (st && !loop_->stopped()) st = cycle();
+  return st;
 }
 
 Status Ism::run_for(TimeMicros duration) {
@@ -1144,11 +942,7 @@ Status Ism::run_for(TimeMicros duration) {
   return Status::ok();
 }
 
-Status Ism::cycle() {
-  auto polled = loop_->poll_once(next_wait_us());
-  if (!polled) return polled.status();
-  return Status::ok();
-}
+Status Ism::cycle() { return loop_->poll_once(next_wait_us()).status(); }
 
 Status Ism::drain() {
   drain_ingest();
@@ -1169,11 +963,9 @@ std::size_t Ism::SocketSyncTransport::slave_count() const noexcept {
 }
 
 Result<clk::PollSample> Ism::SocketSyncTransport::poll(std::size_t index) {
-  const int fd = ism_.node_fd_by_index(index);
-  if (fd < 0) return Status(Errc::not_found, "no such slave");
-  auto it = ism_.connections_.find(fd);
-  if (it == ism_.connections_.end()) return Status(Errc::not_found, "connection gone");
-  Connection& conn = it->second;
+  Connection* conn = ism_.slave(index);
+  if (!conn) return Status(Errc::not_found, "no such slave");
+  const int fd = conn->socket.fd();
 
   const std::uint32_t request_id = ism_.next_request_id_++;
   if (ism_.next_request_id_ == 0) ism_.next_request_id_ = 1;
@@ -1185,7 +977,7 @@ Result<clk::PollSample> Ism::SocketSyncTransport::poll(std::size_t index) {
 
   clk::PollSample sample;
   sample.local_send = ism_.clock_.now();
-  Status st = ism_.send_frame(conn, out.view());
+  Status st = ism_.send_frame(*conn, out.view());
   if (!st) return st;
 
   // Wait for the matching TIME_RESP on this connection, dispatching any
@@ -1203,52 +995,30 @@ Result<clk::PollSample> Ism::SocketSyncTransport::poll(std::size_t index) {
     // The TIME_REQ (or part of it) may still sit in the outbox if the
     // socket was full; keep pumping, and keep the wait short until it is
     // fully on the wire.
-    if (auto pending = ism_.connections_.find(fd); pending != ism_.connections_.end()) {
-      Connection& waiting_conn = pending->second;
-      if (!waiting_conn.outbox.empty()) {
-        Status pump_st = waiting_conn.outbox.pump(waiting_conn.socket);
-        if (!pump_st) {
-          wait_status = pump_st;
-          break;
-        }
-        // This manual pump may have emptied the outbox; reconcile the
-        // writable subscription so no spurious wake lingers.
-        ism_.update_write_interest(fd, waiting_conn);
-        if (!waiting_conn.outbox.empty() && remaining > 10'000) remaining = 10'000;
-      }
+    ism_.on_connection_writable(fd);
+    if (auto pending = ism_.connections_.find(fd);
+        pending != ism_.connections_.end() && !pending->second.outbox.empty()) {
+      remaining = std::min<TimeMicros>(remaining, 10'000);
+    }
+    // One wait: on the connection itself inline, on the readers' wakeup
+    // pipes when threaded (the response arrives through the fd's reader).
+    std::vector<pollfd> wait_fds;
+    if (ism_.threaded()) {
+      for (auto& reader : ism_.readers_) wait_fds.push_back({reader->wakeup_fd(), POLLIN, 0});
+    } else {
+      wait_fds.push_back({fd, POLLIN, 0});
+    }
+    const int ready =
+        ::poll(wait_fds.data(), wait_fds.size(), static_cast<int>((remaining + 999) / 1'000));
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      wait_status = Status(Errc::io_error, "poll during time poll");
+      break;
     }
     if (ism_.threaded()) {
-      // The response arrives through the fd's reader thread; wait on the
-      // readers' wakeup pipes and drain lanes as events land.
-      std::vector<pollfd> wait_fds;
-      wait_fds.reserve(ism_.readers_.size());
-      for (auto& reader : ism_.readers_) {
-        wait_fds.push_back(pollfd{reader->wakeup_fd(), POLLIN, 0});
-      }
-      int wait_ms = static_cast<int>(remaining / 1'000);
-      if (wait_ms == 0) wait_ms = 1;
-      const int ready = ::poll(wait_fds.data(), wait_fds.size(), wait_ms);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        wait_status = Status(Errc::io_error, "poll during time poll");
-        break;
-      }
       for (auto& reader : ism_.readers_) reader->drain_wakeup();
       ism_.drain_ingest();
-    } else {
-      fd_set read_set;
-      FD_ZERO(&read_set);
-      FD_SET(fd, &read_set);
-      timeval tv{};
-      tv.tv_sec = remaining / 1'000'000;
-      tv.tv_usec = remaining % 1'000'000;
-      const int ready = ::select(fd + 1, &read_set, nullptr, nullptr, &tv);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        wait_status = Status(Errc::io_error, "select during time poll");
-        break;
-      }
-      if (ready == 0) continue;  // recheck deadline
+    } else if (ready > 0) {
       ism_.on_connection_readable(fd);
     }
     auto alive = ism_.connections_.find(fd);
@@ -1266,15 +1036,13 @@ Result<clk::PollSample> Ism::SocketSyncTransport::poll(std::size_t index) {
 }
 
 Status Ism::SocketSyncTransport::adjust(std::size_t index, TimeMicros delta) {
-  const int fd = ism_.node_fd_by_index(index);
-  if (fd < 0) return Status(Errc::not_found, "no such slave");
-  auto it = ism_.connections_.find(fd);
-  if (it == ism_.connections_.end()) return Status(Errc::not_found, "connection gone");
+  Connection* conn = ism_.slave(index);
+  if (!conn) return Status(Errc::not_found, "no such slave");
   ByteBuffer out;
   xdr::Encoder enc(out);
   tp::put_type(tp::MsgType::adjust, enc);
   tp::encode_adjust({delta}, enc);
-  return ism_.send_frame(it->second, out.view());
+  return ism_.send_frame(*conn, out.view());
 }
 
 }  // namespace brisk::ism

@@ -29,6 +29,7 @@
 #include "ism/ingest.hpp"
 #include "ism/output.hpp"
 #include "ism/pipeline.hpp"
+#include "ism/session_table.hpp"
 #include "metrics/flight_recorder.hpp"
 #include "metrics/latency.hpp"
 #include "metrics/metrics.hpp"
@@ -125,7 +126,7 @@ struct IsmConfig {
   /// what reopens the EXS's window (--credit-replenish-us). Clamped up to
   /// ack_period_us; 0 keeps the plain ack cadence. Independently of any
   /// cadence, a session that has had half its window admitted since its
-  /// last ack gets a window update at once (see maybe_send_window_update).
+  /// last ack gets a window update at once (see SessionTable::admitted).
   TimeMicros credit_replenish_us = 20'000;
 };
 
@@ -220,7 +221,6 @@ class Ism {
   [[nodiscard]] std::size_t connected_nodes() const noexcept { return nodes_.size(); }
   /// Sessions tracked (live + quarantined); for tests and diagnostics.
   [[nodiscard]] std::size_t session_count() const noexcept { return sessions_.size(); }
-  [[nodiscard]] const char* poller_backend() const noexcept { return loop_->backend_name(); }
 
  private:
   struct Connection {
@@ -240,11 +240,8 @@ class Ism {
     /// what reaps the connection, not the first rejection.
     TimeMicros outbox_full_since = 0;
     NodeId node = 0;
-    /// Negotiated protocol version from the peer's HELLO; grants are only
-    /// appended to acks for peers that understand them (v3+).
-    std::uint32_t version = tp::kProtocolVersion;
     bool hello_seen = false;
-    bool saw_bye = false;             // clean shutdown: expire the session now
+    bool saw_bye = false;             // clean shutdown: forget the session
     TimeMicros last_rx_us = 0;        // monotonic, any inbound bytes
     TimeMicros last_ack_sent_us = 0;  // monotonic
     std::unique_ptr<TokenBucket> flow_control;  // null when disabled
@@ -270,35 +267,6 @@ class Ism {
     /// `remove` command goes to the old reader; consumed by the `released`
     /// event, which re-adds the fd at the target.
     int migrate_target = -1;
-  };
-
-  /// Per-node state that must survive the TCP connection: the batch_seq
-  /// cursor (dedupe across reconnects) and the quarantine bookkeeping. One
-  /// entry per node that ever said hello, until its quarantine expires.
-  struct NodeSession {
-    std::uint64_t incarnation = 0;
-    std::uint32_t next_batch_seq = 0;  // cumulative cursor, also the ack value
-    std::uint64_t ring_dropped_total = 0;
-    bool connected = false;
-    TimeMicros disconnected_at = 0;      // monotonic, valid when !connected
-    TimeMicros hole_since = 0;           // monotonic, 0 = no open seq hole
-    std::uint32_t lowest_pending_seq = 0;  // smallest seq offered above cursor
-    // --- credit-based flow control -------------------------------------------
-    /// Records admitted into the ordering pipeline (ordering thread only).
-    std::uint64_t records_admitted = 0;
-    /// Records that left the pipeline through the sink; bumped on the merger
-    /// thread in sharded mode, hence the atomic cell. admitted − drained is
-    /// the node's in-pipeline backlog, which shrinks its next grant.
-    std::shared_ptr<std::atomic<std::uint64_t>> records_drained;
-    std::uint32_t last_granted_records = 0;  // most recent grant's window
-    std::uint64_t admitted_at_last_ack = 0;  // records_admitted when the last ack went out
-    // --- federation ----------------------------------------------------------
-    /// Ordered-ingress lane in the pipeline (relay sessions only). Lanes are
-    /// append-only in the pipeline, so the index stays valid across
-    /// reconnects of the same incarnation; an incarnation reset allocates a
-    /// fresh lane (the old one was flushed at disconnect and stays empty).
-    bool has_relay_lane = false;
-    std::size_t relay_lane = 0;
   };
 
   /// The master side of clock sync over the live connections.
@@ -336,14 +304,15 @@ class Ism {
   /// buffer_full blip on an otherwise-alive peer.
   [[nodiscard]] bool send_failure_is_fatal(Connection& conn, const Status& st);
   Status dispatch_frame(Connection& conn, ByteSpan payload);
+  /// The admission entry for both batch kinds: reader-rate bookkeeping,
+  /// then the session cursor. True when the records enter the pipeline.
+  bool admit_batch(Connection& conn, std::uint32_t seq, std::uint64_t ring_dropped_total,
+                   std::size_t records);
   void handle_batch(Connection& conn, tp::Batch batch);
   /// Ordered-ingress: a relay's pre-sorted batch goes through the same
   /// batch_seq dedupe cursor, then straight into its pipeline lane —
   /// bypassing the sorter shards. Origin node ids are preserved.
   void handle_relay_batch(Connection& conn, tp::RelayBatch batch);
-  /// Applies the dedupe/hole policy to a batch sequence number. Returns
-  /// true when the batch's records should be admitted into the pipeline.
-  bool admit_batch_seq(const Connection& conn, NodeSession& session, std::uint32_t seq);
   void route_record(sensors::Record record);
   /// Sink delivery of a traced record: stamps sink_delivery, feeds the
   /// stage-pair latency histograms, strips the annotation off the data
@@ -360,29 +329,11 @@ class Ism {
   /// connection (at most one per ack period) from the busiest reader to the
   /// idlest. Called from the decay tick with pre-decay rates.
   void maybe_migrate_connection(TimeMicros now);
+  /// Drains a session's pending records out of band and forgets it.
   void expire_session(NodeId node);
+  /// Encodes and sends the ack the session table builds.
   Status send_ack(Connection& conn, tp::MsgType type);
   Status send_frame(Connection& conn, ByteSpan payload);
-  // --- credit-based flow control ---------------------------------------------
-  [[nodiscard]] bool credits_enabled() const noexcept {
-    return config_.credit_window_records > 0;
-  }
-  /// The grant appended to an ack: configured window minus the node's
-  /// in-pipeline backlog (clamped at zero — never a negative window).
-  [[nodiscard]] tp::CreditGrant build_credit_grant(NodeSession& session) const noexcept;
-  /// Receiver-driven window update: once a credited (v3) session has had
-  /// half the configured window admitted since its last ack, ack now
-  /// instead of at the next sweep. The EXS charges every unacked record
-  /// against its window, so waiting for the ack cadence would cap the
-  /// stream at window / ack period.
-  void maybe_send_window_update(Connection& conn, NodeSession& session);
-  /// Pipeline-sink hook: counts a delivered record against its node's
-  /// drained counter (any pipeline thread; lock-free COW map lookup).
-  void note_record_drained(NodeId node) noexcept;
-  /// Ordering-thread-only copy-on-write updates of the drained-counter map.
-  void publish_drained_counter(NodeId node,
-                              std::shared_ptr<std::atomic<std::uint64_t>> cell);
-  void retire_drained_counter(NodeId node);
   /// Tears down a connection. In threaded mode with the reader still
   /// polling the fd, this only shutdown(2)s the socket and waits for the
   /// reader's `closed` event (see ingest.hpp's fd ownership protocol).
@@ -403,8 +354,8 @@ class Ism {
   void drain_ingest();
   /// Applies one decoded event, whichever thread decoded it.
   void process_ingest_event(int fd, IngestEvent event);
-  /// fd of the index-th connected node (ordered by node id), or -1.
-  int node_fd_by_index(std::size_t index) const;
+  /// Connection of the index-th connected node (by node id), or null.
+  Connection* slave(std::size_t index);
 
   IsmConfig config_;
   clk::Clock& clock_;
@@ -426,7 +377,6 @@ class Ism {
   TimeMicros last_migration_us_ = 0;  // monotonic; rate-limits to 1/ack period
   std::map<int, Connection> connections_;
   std::map<NodeId, int> nodes_;  // node id → fd (live connections only)
-  std::map<NodeId, NodeSession> sessions_;
   std::unique_ptr<OrderingPipeline> pipeline_;
   /// Monotonic time the pipeline's next record falls due, from the last
   /// service(); -1 when none is pending (or the shard workers keep time).
@@ -439,6 +389,8 @@ class Ism {
   TimeMicros last_metrics_emit_us_ = 0;  // monotonic
   SequenceNo metrics_sequence_ = 0;      // running seq of emitted metrics records
   metrics::FlightRecorder flight_{"ism"};
+  /// One entry per node that ever said hello, until its quarantine expires.
+  SessionTable sessions_;
   /// How far emit_metrics_snapshot has drained flight_ into 0xFF03 records.
   std::uint64_t flight_cursor_ = 0;
   /// Running seq of emitted trace records. Atomic: sink delivery happens on
@@ -459,29 +411,13 @@ class Ism {
     std::atomic<std::uint64_t> records_received{0};
     std::atomic<std::uint64_t> bytes_received{0};
     std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> ring_drops_reported{0};
     std::atomic<std::uint64_t> flow_control_drops{0};
     std::atomic<std::uint64_t> ingest_stalls{0};
-    std::atomic<std::uint64_t> batch_seq_gaps{0};
-    std::atomic<std::uint64_t> rejoins{0};
-    std::atomic<std::uint64_t> duplicate_batches_dropped{0};
-    std::atomic<std::uint64_t> out_of_order_batches_dropped{0};
     std::atomic<std::uint64_t> idle_disconnects{0};
-    std::atomic<std::uint64_t> sessions_expired{0};
-    std::atomic<std::uint64_t> acks_sent{0};
     std::atomic<std::uint64_t> heartbeats_received{0};
-    std::atomic<std::uint64_t> credit_grants_sent{0};
-    std::atomic<std::uint64_t> zero_window_grants{0};
-    std::atomic<std::uint64_t> window_update_acks{0};
     std::atomic<std::uint64_t> reader_migrations{0};
   };
   Counters stats_;
-  /// node → drained-record cell, for the pipeline-sink counting hook. Read
-  /// lock-free on pipeline threads via atomic shared_ptr loads; replaced
-  /// copy-on-write on the ordering thread (single writer). Null while no
-  /// session has credits.
-  using DrainedMap = std::map<NodeId, std::shared_ptr<std::atomic<std::uint64_t>>>;
-  std::shared_ptr<const DrainedMap> drained_counters_;
   net::FaultySocket fault_;  // all ISM→EXS frames route through this
   std::uint32_t next_request_id_ = 1;
   // Set while a sync poll is waiting for this (request id, value) pair.

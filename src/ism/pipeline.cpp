@@ -643,11 +643,6 @@ SorterStats OrderingPipeline::sorter_stats() const {
   return total;
 }
 
-SorterStats OrderingPipeline::shard_sorter_stats(std::size_t shard) const {
-  std::lock_guard<std::mutex> lk(shards_[shard]->state_mutex);
-  return shards_[shard]->sorter->stats();
-}
-
 void OrderingPipeline::merge_disorder(metrics::Histogram& out) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     merge_shard_disorder(i, out);

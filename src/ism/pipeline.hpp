@@ -165,7 +165,6 @@ class OrderingPipeline {
   }
   /// Aggregated over all shards (max_lateness_us reports the maximum).
   [[nodiscard]] SorterStats sorter_stats() const;
-  [[nodiscard]] SorterStats shard_sorter_stats(std::size_t shard) const;
   /// Bucket-wise merges every shard's (or one shard's) out-of-order lateness
   /// distribution into `out` — the disorder signal behind sort.disorder_us.
   void merge_disorder(metrics::Histogram& out) const;

@@ -1,0 +1,196 @@
+#include "ism/session_table.hpp"
+
+#include <algorithm>
+
+#include "common/logging.hpp"
+#include "ism/ism.hpp"
+
+namespace brisk::ism {
+
+SessionTable::Hello SessionTable::hello(NodeId node, std::uint64_t incarnation,
+                                        std::uint32_t version, bool relay) {
+  auto [it, fresh] = sessions_.try_emplace(node);
+  NodeSession& session = it->second;
+  if (fresh || session.incarnation != incarnation) {
+    // New node, or the EXS process restarted: its batch_seq starts over at
+    // zero, so the cursor must too (the quarantined queue of a previous
+    // incarnation, if any, stays and drains normally).
+    session = NodeSession{};
+    session.incarnation = incarnation;
+    BRISK_LOG_INFO << "node " << node << " connected (incarnation " << incarnation << ")";
+  } else {
+    bump(counters_.rejoins);
+    flight_.record(sensors::EventKind::session_rejoined, node, session.next_batch_seq,
+                   clock_.now());
+    BRISK_LOG_INFO << "node " << node << " rejoined at batch seq " << session.next_batch_seq;
+  }
+  session.disconnected_at.reset();
+  session.hole_since.reset();
+  session.credited =
+      config_.credit_window_records > 0 && version >= tp::kCreditProtocolVersion;
+  // A relay's cell is bumped by the merge as it releases lane records, which
+  // carry origin node ids: the per-node map would never find it.
+  if (relay ? !session.relay_lane : session.credited && !session.records_drained) {
+    session.records_drained = std::make_shared<std::atomic<std::uint64_t>>(0);
+    if (!relay) set_drained(node, session.records_drained);
+  }
+  return Hello{session.relay_lane, session.records_drained};
+}
+
+void SessionTable::bind_relay_lane(NodeId node, std::size_t lane) {
+  if (auto it = sessions_.find(node); it != sessions_.end()) it->second.relay_lane = lane;
+}
+
+bool SessionTable::admit(NodeId node, std::uint32_t seq, std::uint64_t ring_dropped_total,
+                         TimeMicros now) {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end()) return false;
+  NodeSession& session = it->second;
+  if (seq < session.next_batch_seq) {
+    // Already applied — a replay after a reconnect, or a duplicated frame.
+    bump(counters_.duplicate_batches_dropped);
+    return false;
+  }
+  if (seq > session.next_batch_seq) {
+    // A batch went missing in flight. Go-back-N: drop everything above the
+    // hole and let the stuck ack cursor trigger the EXS's resend.
+    if (!session.hole_since) {
+      session.hole_since = now;
+      session.lowest_pending_seq = seq;
+    } else {
+      session.lowest_pending_seq = std::min(session.lowest_pending_seq, seq);
+    }
+    bump(counters_.out_of_order_batches_dropped);
+    if (config_.gap_skip_timeout_us <= 0 ||
+        now - *session.hole_since < config_.gap_skip_timeout_us) {
+      return false;
+    }
+    // The resend never came: the EXS evicted the missing batches from its
+    // replay buffer. Jump to the lowest batch still on offer.
+    bump(counters_.batch_seq_gaps);
+    flight_.record(sensors::EventKind::batch_gap, node,
+                   session.lowest_pending_seq - session.next_batch_seq, clock_.now());
+    BRISK_LOG_WARN << "node " << node << " declaring batch gap: " << session.next_batch_seq
+                   << ".." << session.lowest_pending_seq - 1;
+    session.next_batch_seq = session.lowest_pending_seq;
+    session.hole_since.reset();
+    if (seq != session.next_batch_seq) return false;
+  }
+  session.next_batch_seq = seq + 1;
+  session.hole_since.reset();
+  if (ring_dropped_total >= session.ring_dropped_total) {
+    bump(counters_.ring_drops_reported, ring_dropped_total - session.ring_dropped_total);
+    session.ring_dropped_total = ring_dropped_total;
+  }
+  return true;
+}
+
+bool SessionTable::admitted(NodeId node, std::uint64_t records) {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end()) return false;
+  NodeSession& session = it->second;
+  session.records_admitted += records;
+  const std::uint64_t threshold = std::max<std::uint64_t>(config_.credit_window_records / 2, 1);
+  if (!session.credited || session.records_admitted - session.admitted_at_last_ack < threshold) {
+    return false;
+  }
+  bump(counters_.window_update_acks);
+  return true;
+}
+
+std::uint64_t SessionTable::backlog(NodeId node) const {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end()) return 0;
+  const NodeSession& session = it->second;
+  const std::uint64_t drained =
+      session.records_drained ? session.records_drained->load(std::memory_order_relaxed) : 0;
+  return session.records_admitted > drained ? session.records_admitted - drained : 0;
+}
+
+std::optional<tp::HelloAck> SessionTable::ack(NodeId node) {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end()) return std::nullopt;
+  NodeSession& session = it->second;
+  tp::HelloAck ack;
+  ack.incarnation = session.incarnation;
+  ack.next_expected_seq = session.next_batch_seq;
+  if (session.credited) {
+    const std::uint64_t window = config_.credit_window_records;
+    const auto granted = static_cast<std::uint32_t>(window - std::min(window, backlog(node)));
+    ack.credit = tp::CreditGrant{session.incarnation, granted, config_.credit_window_bytes};
+    session.last_granted_records = granted;
+    bump(counters_.credit_grants_sent);
+    if (granted == 0) {
+      bump(counters_.zero_window_grants);
+      flight_.record(sensors::EventKind::zero_window_grant, node, config_.credit_window_records,
+                     clock_.now());
+    }
+  }
+  bump(counters_.acks_sent);
+  session.admitted_at_last_ack = session.records_admitted;
+  return ack;
+}
+
+TimeMicros SessionTable::ack_period(NodeId node) const {
+  const auto it = sessions_.find(node);
+  if (it != sessions_.end() && it->second.credited && config_.credit_replenish_us > 0 &&
+      config_.credit_replenish_us < config_.ack_period_us &&
+      it->second.last_granted_records < config_.credit_window_records) {
+    return config_.credit_replenish_us;
+  }
+  return config_.ack_period_us;
+}
+
+SessionTable::Departure SessionTable::disconnect(NodeId node, bool bye, TimeMicros now) {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end()) return Departure::forgotten;
+  if (bye) {
+    sessions_.erase(it);
+    set_drained(node, nullptr);
+    return Departure::forgotten;
+  }
+  if (config_.quarantine_timeout_us == 0) return Departure::expire_now;
+  it->second.disconnected_at = now;
+  it->second.hole_since.reset();
+  flight_.record(sensors::EventKind::session_quarantined, node, 0, clock_.now());
+  return Departure::quarantined;
+}
+
+std::vector<NodeId> SessionTable::expired(TimeMicros now) const {
+  std::vector<NodeId> out;
+  for (const auto& [node, session] : sessions_) {
+    const auto& gone_at = session.disconnected_at;
+    if (gone_at && now - *gone_at >= config_.quarantine_timeout_us) out.push_back(node);
+  }
+  return out;
+}
+
+void SessionTable::expire(NodeId node, std::size_t drained) {
+  bump(counters_.sessions_expired);
+  flight_.record(sensors::EventKind::session_expired, node, drained, clock_.now());
+  sessions_.erase(node);
+  set_drained(node, nullptr);
+}
+
+void SessionTable::set_drained(NodeId node, DrainedCell cell) {
+  const auto old = std::atomic_load_explicit(&drained_, std::memory_order_acquire);
+  if (!cell && (!old || old->count(node) == 0)) return;
+  auto next = old ? std::make_shared<DrainedMap>(*old) : std::make_shared<DrainedMap>();
+  if (cell) {
+    (*next)[node] = std::move(cell);
+  } else {
+    next->erase(node);
+  }
+  std::atomic_store_explicit(&drained_, std::shared_ptr<const DrainedMap>(std::move(next)),
+                             std::memory_order_release);
+}
+
+void SessionTable::note_record_drained(NodeId node) noexcept {
+  if (config_.credit_window_records == 0) return;
+  const auto map = std::atomic_load_explicit(&drained_, std::memory_order_acquire);
+  if (!map) return;
+  const auto it = map->find(node);
+  if (it != map->end()) it->second->fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace brisk::ism

@@ -4,7 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <sys/select.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,15 +96,11 @@ Status TcpSocket::write_all(ByteSpan bytes, TimeMicros timeout_us) {
       if (waited >= timeout_us) {
         return Status(Errc::timeout, "peer not draining; write_all gave up");
       }
-      fd_set write_set;
-      FD_ZERO(&write_set);
-      FD_SET(fd_.get(), &write_set);
-      timeval tv{};
+      // poll(2), not select(2): FD_SET is undefined for fds >= FD_SETSIZE.
+      pollfd pfd{fd_.get(), POLLOUT, 0};
       const TimeMicros slice = 100'000 < timeout_us - waited ? 100'000 : timeout_us - waited;
-      tv.tv_sec = slice / 1'000'000;
-      tv.tv_usec = slice % 1'000'000;
-      const int ready = ::select(fd_.get() + 1, nullptr, &write_set, nullptr, &tv);
-      if (ready < 0 && errno != EINTR) return errno_status("select(write)");
+      const int ready = ::poll(&pfd, 1, static_cast<int>((slice + 999) / 1'000));
+      if (ready < 0 && errno != EINTR) return errno_status("poll(write)");
       if (ready == 0) waited += slice;
       continue;
     }

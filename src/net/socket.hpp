@@ -48,7 +48,7 @@ class TcpSocket {
   /// write(2): returns bytes written (may be short in non-blocking mode),
   /// Errc::would_block, or an error.
   Result<std::size_t> write_some(ByteSpan bytes);
-  /// Writes the whole span. On a non-blocking socket, waits (select) for
+  /// Writes the whole span. On a non-blocking socket, waits (poll) for
   /// writability between partial writes; gives up with Errc::timeout after
   /// `timeout_us` of no progress (a peer that stopped reading must not
   /// wedge the caller forever).

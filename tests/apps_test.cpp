@@ -188,6 +188,9 @@ TEST(AppsTest, BadOptionValuesExitTwo) {
        "uring"},
       {"brisk_ism", {"--readiness-pump=false"}, "readiness-pump"},
       {"brisk_ism", {"--ack-period-us", "0"}, "ack_period_us"},
+      {"brisk_ism", {"--ism-credit-records", "-1"}, "--ism-credit-records"},
+      {"brisk_ism", {"--ism-credit-records", "4294967296"}, "--ism-credit-records"},
+      {"brisk_ism", {"--ism-credit-bytes", "-1"}, "--ism-credit-bytes"},
   };
   for (const Case& c : cases) {
     ChildProcess child = spawn(apps_dir + "/" + c.binary, c.args, STDERR_FILENO);

@@ -1,9 +1,10 @@
 // Property tests of credit-based flow control on the TP wire.
 //
 // A seeded schedule drives a real ExsCore (rings → batcher → replay buffer →
-// paced sends) against a model ISM that mirrors the server's credit
-// arithmetic: cursor-based admission with dedupe, a drained-record counter,
-// and grants of `window − (admitted − drained)` piggybacked on its acks.
+// paced sends) against the ISM's real ism::SessionTable behind a frame
+// codec: cursor-based admission with dedupe and gap skip, the drained-record
+// cells, grants of `window − (admitted − drained)` on every ack, and the
+// half-window updates, all under the schedule's ManualClock.
 // EXS→ISM data frames pass through a sim::FaultInjector, so batches drop
 // and duplicate mid-stream; the link also hard-disconnects and reconnects.
 // For every seed the invariants must hold:
@@ -12,7 +13,8 @@
 //  * a zero or shrunken window never deadlocks the stream — once the model
 //    drains, replenishing grants always pump the parked batches out,
 //  * go-back-N replay after loss or reconnect respects the window in force
-//    when it runs, and
+//    when it runs, and every hole is filled by a resend (the table never
+//    declares one lost),
 //  * the admitted record stream is exactly the produced stream — and
 //    byte-identical to a no-credit baseline run of the same schedule.
 #include <gtest/gtest.h>
@@ -22,6 +24,8 @@
 #include <vector>
 
 #include "clock/clock.hpp"
+#include "ism/ism.hpp"
+#include "ism/session_table.hpp"
 #include "lis/external_sensor.hpp"
 #include "sensors/sensor.hpp"
 #include "sim/fault_injector.hpp"
@@ -51,16 +55,19 @@ std::string param_name(const ::testing::TestParamInfo<FlowParam>& info) {
   return name;
 }
 
-/// The ISM side, reduced to what flow control observes: the batch_seq
-/// cursor with dedupe/hole handling, per-record admission and drain
-/// counting, and ack/grant construction exactly as ism.cpp builds them.
+/// The ISM side, reduced to the wire: frames decode into calls on the real
+/// ism::SessionTable (cursor, dedupe, gap skip, grants, window updates), and
+/// every ack the table asks for is encoded back to the EXS.
 class ModelIsm {
  public:
-  ModelIsm(std::uint32_t window_records, std::uint64_t window_bytes)
-      : window_records_(window_records), window_bytes_(window_bytes) {}
+  ModelIsm(std::uint32_t window_records, std::uint64_t window_bytes, clk::Clock& clock)
+      : clock_(clock) {
+    config_.credit_window_records = window_records;
+    config_.credit_window_bytes = window_bytes;
+  }
 
-  /// Feeds one EXS→ISM frame. Returns frames to deliver back to the EXS
-  /// (the hello_ack reply; data and heartbeat produce nothing).
+  /// Feeds one EXS→ISM frame. Returns frames to deliver back to the EXS:
+  /// the hello_ack, and any window update a data batch earns.
   std::vector<ByteBuffer> on_frame(ByteSpan payload) {
     std::vector<ByteBuffer> replies;
     xdr::Decoder dec(payload);
@@ -73,7 +80,8 @@ class ModelIsm {
         EXPECT_TRUE(hello.is_ok());
         if (hello.is_ok()) {
           EXPECT_EQ(hello.value().version, tp::kProtocolVersion);
-          incarnation_ = hello.value().incarnation;
+          node_ = hello.value().node;
+          sessions_.hello(node_, hello.value().incarnation, hello.value().version, false);
           replies.push_back(make_ack(tp::MsgType::hello_ack));
         }
         break;
@@ -81,7 +89,20 @@ class ModelIsm {
       case tp::MsgType::data_batch: {
         auto batch = tp::decode_batch(dec);
         EXPECT_TRUE(batch.is_ok()) << batch.status().to_string();
-        if (batch.is_ok()) admit(batch.value());
+        if (!batch.is_ok()) break;
+        const tp::BatchHeader& header = batch.value().header;
+        if (!sessions_.admit(node_, header.batch_seq, header.ring_dropped_total, clock_.now())) {
+          break;
+        }
+        for (const sensors::Record& record : batch.value().records) {
+          EXPECT_FALSE(record.fields.empty());
+          if (!record.fields.empty()) {
+            stream_.push_back(static_cast<std::int32_t>(record.fields[0].as_signed()));
+          }
+        }
+        if (sessions_.admitted(node_, batch.value().records.size())) {
+          replies.push_back(make_ack(tp::MsgType::batch_ack));
+        }
         break;
       }
       default:
@@ -91,48 +112,31 @@ class ModelIsm {
   }
 
   [[nodiscard]] ByteBuffer make_ack(tp::MsgType type) {
+    const std::optional<tp::HelloAck> decided = sessions_.ack(node_);
+    EXPECT_TRUE(decided.has_value());
+    const tp::HelloAck ack = decided.value_or(tp::HelloAck{});
     ByteBuffer out;
     xdr::Encoder enc(out);
     tp::put_type(type, enc);
-    std::optional<tp::CreditGrant> credit;
-    if (window_records_ > 0) {
-      // The server's arithmetic: configured window minus in-pipeline
-      // backlog, clamped at zero.
-      const std::uint64_t backlog = admitted_ - drained_;
-      tp::CreditGrant grant;
-      grant.incarnation = incarnation_;
-      grant.window_records =
-          backlog < window_records_
-              ? window_records_ - static_cast<std::uint32_t>(backlog)
-              : 0;
-      grant.window_bytes = window_bytes_;
-      credit = grant;
-      last_granted_ = grant.window_records;
-    }
     if (type == tp::MsgType::hello_ack) {
-      tp::HelloAck ack;
-      ack.incarnation = incarnation_;
-      ack.next_expected_seq = cursor_;
-      ack.credit = credit;
       tp::encode_hello_ack(ack, enc);
     } else {
-      tp::BatchAck ack;
-      ack.next_expected_seq = cursor_;
-      ack.credit = credit;
-      tp::encode_batch_ack(ack, enc);
+      tp::encode_batch_ack({ack.next_expected_seq, ack.credit}, enc);
     }
     return out;
   }
 
-  /// The pipeline drains up to `count` admitted records.
-  void drain(std::uint64_t count) {
-    drained_ = std::min(admitted_, drained_ + count);
-  }
-  void drain_all() { drained_ = admitted_; }
+  void disconnect() { (void)sessions_.disconnect(node_, /*bye=*/false, clock_.now()); }
+  [[nodiscard]] const ism::SessionCounters& counters() const { return sessions_.counters(); }
 
-  [[nodiscard]] std::uint64_t admitted() const noexcept { return admitted_; }
-  [[nodiscard]] std::uint32_t last_granted() const noexcept { return last_granted_; }
-  [[nodiscard]] std::uint64_t duplicates() const noexcept { return duplicates_; }
+  /// The pipeline delivers up to `count` admitted records.
+  void drain(std::uint64_t count) {
+    for (count = std::min(count, sessions_.backlog(node_)); count > 0; --count) {
+      sessions_.note_record_drained(node_);
+    }
+  }
+  void drain_all() { drain(sessions_.backlog(node_)); }
+
   /// Payload values of admitted records, in admission order — the stream
   /// the downstream sorter would see from this node.
   [[nodiscard]] const std::vector<std::int32_t>& stream() const noexcept {
@@ -140,32 +144,11 @@ class ModelIsm {
   }
 
  private:
-  void admit(const tp::Batch& batch) {
-    const std::uint32_t seq = batch.header.batch_seq;
-    if (seq != cursor_) {
-      // Below the cursor: a replayed duplicate, dropped. Above: a hole the
-      // stuck-ack resend will fill; drop and wait (the model never
-      // gap-skips — the test sizes the replay buffer so nothing is ever
-      // evicted, and asserts that).
-      if (seq < cursor_) ++duplicates_;
-      return;
-    }
-    cursor_ = seq + 1;
-    for (const sensors::Record& record : batch.records) {
-      ++admitted_;
-      ASSERT_FALSE(record.fields.empty());
-      stream_.push_back(static_cast<std::int32_t>(record.fields[0].as_signed()));
-    }
-  }
-
-  std::uint32_t window_records_;
-  std::uint64_t window_bytes_;
-  std::uint64_t incarnation_ = 0;
-  std::uint32_t cursor_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t drained_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint32_t last_granted_ = 0;
+  ism::IsmConfig config_;
+  clk::Clock& clock_;
+  metrics::FlightRecorder flight_{"flow-control-model"};
+  ism::SessionTable sessions_{config_, clock_, flight_};
+  NodeId node_ = 0;
   std::vector<std::int32_t> stream_;
 };
 
@@ -173,7 +156,8 @@ struct RunResult {
   std::vector<std::int32_t> produced;
   std::vector<std::int32_t> admitted;
   ExsStats stats;
-  std::uint64_t model_duplicates = 0;
+  std::uint64_t window_updates = 0;  // acks the table sent on half a window
+  std::uint64_t gaps = 0;            // holes the table declared lost
   bool drained_clean = false;  // the drain phase emptied the replay buffer
 };
 
@@ -200,7 +184,7 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
     // declared loss, and this suite asserts zero loss.
     config.replay_buffer_batches = 4096;
 
-    ModelIsm model(window_records, param.window_bytes);
+    ModelIsm model(window_records, param.window_bytes, clock);
     sim::FaultPlan plan;
     plan.seed = param.seed * 7919 + 1;
     plan.drop_probability = param.drop_probability;
@@ -284,6 +268,7 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
         if (connected) {
           connected = false;
           core.on_disconnect();
+          model.disconnect();
         }
       } else if (roll < 0.95) {
         if (!connected) {
@@ -319,7 +304,8 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
     result.drained_clean = core.replay().empty();
     result.admitted = model.stream();
     result.stats = core.stats();
-    result.model_duplicates = model.duplicates();
+    result.window_updates = model.counters().window_update_acks.load();
+    result.gaps = model.counters().batch_seq_gaps.load();
     return result;
   }
 };
@@ -336,8 +322,10 @@ TEST_P(FlowControlProperty, StreamSurvivesWindowsFaultsAndReconnects) {
   // the produced stream.
   ASSERT_EQ(result.admitted.size(), result.produced.size());
   EXPECT_EQ(result.admitted, result.produced);
+  EXPECT_EQ(result.gaps, 0u) << "a resend never came and the table skipped the hole";
   if (param.window_records > 0) {
     EXPECT_GT(result.stats.credit_grants_received, 0u);
+    EXPECT_GT(result.window_updates, 0u) << "half-window updates never reached the EXS";
     EXPECT_EQ(result.stats.credit_window_bytes, param.window_bytes);
     if (param.window_records <= 8) {
       // A window this small against 8-record bursts must have parked
@@ -347,6 +335,7 @@ TEST_P(FlowControlProperty, StreamSurvivesWindowsFaultsAndReconnects) {
   } else {
     EXPECT_EQ(result.stats.credit_grants_received, 0u);
     EXPECT_EQ(result.stats.paced_batches, 0u);
+    EXPECT_EQ(result.window_updates, 0u);
   }
 }
 

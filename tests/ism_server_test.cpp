@@ -274,6 +274,77 @@ TEST_P(IsmServerTest, EmptyFrameDropsConnection) {
 INSTANTIATE_TEST_SUITE_P(IngestModes, IsmServerTest, ::testing::ValuesIn(ingest_modes()),
                          ingest_mode_name);
 
+// ---- threaded close ---------------------------------------------------------------------
+//
+// Regression: a reader thread may have queued events behind the frame that
+// closes its connection. Inline mode never decodes past a close; threaded
+// mode used to apply the queued batches, which — with quarantine 0, the
+// session already expired — recreated a phantom session at cursor 0 that
+// the next sweep expired a second time.
+TEST(IsmServerCloseTest, ThreadedCloseDiscardsEventsQueuedBehindIt) {
+  IsmConfig config;
+  config.select_timeout_us = 2'000;
+  config.enable_sync = false;
+  config.reader_threads = 1;
+  config.quarantine_timeout_us = 0;
+  auto sink = std::make_shared<CallbackSink>([](const sensors::Record&) {});
+  auto started = Ism::start(config, clk::SystemClock::instance(), sink);
+  ASSERT_TRUE(started.is_ok()) << started.status().to_string();
+  std::unique_ptr<Ism> ism = std::move(started).value();
+  std::thread server([&] { (void)ism->run(); });
+
+  // HELLO, batch 0, a frame of unexpected type, then batches 1 and 2 — all
+  // in one write, so the reader decodes them together.
+  ByteBuffer wire;
+  auto add_frame = [&wire](ByteSpan payload) {
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    const std::uint8_t header[4] = {static_cast<std::uint8_t>(len >> 24),
+                                    static_cast<std::uint8_t>(len >> 16),
+                                    static_cast<std::uint8_t>(len >> 8),
+                                    static_cast<std::uint8_t>(len)};
+    wire.append(header, sizeof header);
+    wire.append(payload);
+  };
+  ByteBuffer hello;
+  xdr::Encoder hello_enc(hello);
+  tp::put_type(tp::MsgType::hello, hello_enc);
+  tp::encode_hello({NodeId(9), tp::kProtocolVersion, /*incarnation=*/1}, hello_enc);
+  add_frame(hello.view());
+  tp::BatchBuilder builder{NodeId(9)};
+  auto add_batch = [&] {
+    sensors::Record record;
+    record.sensor = 1;
+    record.timestamp = 42;
+    record.fields = {sensors::Field::i32(7)};
+    ASSERT_TRUE(builder.add_record(record));
+    ByteBuffer payload = builder.finish();
+    add_frame(payload.view());
+  };
+  add_batch();
+  ByteBuffer garbage;
+  xdr::Encoder garbage_enc(garbage);
+  garbage_enc.put_u32(99);  // not a MsgType
+  add_frame(garbage.view());
+  add_batch();
+  add_batch();
+
+  auto client = net::TcpSocket::connect("127.0.0.1", ism->port());
+  ASSERT_TRUE(client.is_ok());
+  ASSERT_TRUE(client.value().write_all(wire.view()));
+  // The hello_ack, then EOF once the server drops the connection.
+  ASSERT_TRUE(net::read_frame(client.value()).is_ok());
+  EXPECT_FALSE(net::read_frame(client.value()).is_ok());
+  sleep_micros(100'000);  // many sweeps: a phantom session would expire again
+  ism->stop();
+  server.join();
+
+  const IsmStats stats = ism->stats();
+  EXPECT_EQ(stats.sessions_expired, 1u);
+  EXPECT_EQ(stats.out_of_order_batches_dropped, 0u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(ism->session_count(), 0u);
+}
+
 // ---- outbox stall classification -------------------------------------------------------
 //
 // Regression for the pump-error handling bug where *any* failed outbox send

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <thread>
 
 #include "clock/clock.hpp"
 #include "common/time_util.hpp"
@@ -18,7 +19,9 @@
 #include "ism/merge_heap.hpp"
 #include "ism/online_sorter.hpp"
 #include "ism/output.hpp"
+#include "ism/ism.hpp"
 #include "ism/pipeline.hpp"
+#include "ism/session_table.hpp"
 
 namespace brisk::ism {
 namespace {
@@ -58,15 +61,210 @@ TEST(EventQueueTest, FifoAndCounters) {
   EXPECT_EQ(queue.pop().arrived_at, 1'000);
   EXPECT_EQ(queue.pop().record.timestamp, 50);
   EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.total_received(), 2u);
 }
 
-TEST(EventQueueTest, BatchSeqContinuity) {
-  EventQueue queue(1);
-  EXPECT_TRUE(queue.accept_batch_seq(0));
-  EXPECT_TRUE(queue.accept_batch_seq(1));
-  EXPECT_FALSE(queue.accept_batch_seq(5)) << "gap detected";
-  EXPECT_TRUE(queue.accept_batch_seq(6)) << "resynchronizes after a gap";
+// ---- SessionTable -----------------------------------------------------------------
+//
+// The session protocol with no sockets: every call gets an explicit `now`.
+
+class SessionTableTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kNode = 7;
+  static constexpr TimeMicros kT0 = 1'000'000;
+
+  SessionTableTest() {
+    config_.quarantine_timeout_us = 5'000'000;
+    config_.ack_period_us = 200'000;
+    config_.gap_skip_timeout_us = 1'000'000;
+    config_.credit_window_records = 8;
+    config_.credit_window_bytes = 4'096;
+    config_.credit_replenish_us = 20'000;
+  }
+
+  /// Admits batches [from, to) in order.
+  void admit_range(std::uint32_t from, std::uint32_t to, TimeMicros now = kT0) {
+    for (std::uint32_t seq = from; seq < to; ++seq) {
+      ASSERT_TRUE(table_.admit(kNode, seq, 0, now)) << seq;
+    }
+  }
+  std::uint32_t cursor() { return table_.ack(kNode).value().next_expected_seq; }
+  std::size_t flight_events(sensors::EventKind kind) {
+    const auto events = flight_.snapshot();
+    return static_cast<std::size_t>(std::count_if(
+        events.begin(), events.end(),
+        [kind](const metrics::FlightEvent& e) { return e.kind == kind; }));
+  }
+
+  IsmConfig config_;
+  clk::ManualClock clock_{kT0};
+  metrics::FlightRecorder flight_{"session-table-test"};
+  SessionTable table_{config_, clock_, flight_};
+};
+
+TEST_F(SessionTableTest, RejoinKeepsTheCursor) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  admit_range(0, 3);
+  EXPECT_EQ(table_.disconnect(kNode, /*bye=*/false, kT0), SessionTable::Departure::quarantined);
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  EXPECT_EQ(cursor(), 3u);
+  EXPECT_FALSE(table_.admit(kNode, 2, 0, kT0)) << "replayed batch is a duplicate";
+  EXPECT_EQ(table_.counters().rejoins.load(), 1u);
+  EXPECT_EQ(table_.counters().duplicate_batches_dropped.load(), 1u);
+  EXPECT_EQ(flight_events(sensors::EventKind::session_rejoined), 1u);
+}
+
+TEST_F(SessionTableTest, IncarnationResetZeroesTheCursor) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  admit_range(0, 3);
+  table_.disconnect(kNode, false, kT0);
+  table_.hello(kNode, 43, tp::kProtocolVersion, false);
+  EXPECT_EQ(cursor(), 0u);
+  EXPECT_TRUE(table_.admit(kNode, 0, 0, kT0)) << "a restarted EXS is not deduplicated";
+  EXPECT_EQ(table_.counters().rejoins.load(), 0u);
+}
+
+TEST_F(SessionTableTest, GapSkipFiresAtExactlyTheTimeout) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  admit_range(0, 1);
+  const TimeMicros opened = kT0 + 500;
+  EXPECT_FALSE(table_.admit(kNode, 3, 0, opened));  // batches 1..2 are missing
+  EXPECT_FALSE(table_.admit(kNode, 2, 0, opened + config_.gap_skip_timeout_us - 1));
+  EXPECT_EQ(table_.counters().batch_seq_gaps.load(), 0u);
+  EXPECT_EQ(cursor(), 1u);
+  EXPECT_TRUE(table_.admit(kNode, 2, 0, opened + config_.gap_skip_timeout_us))
+      << "the lowest batch on offer is admitted once the hole is declared lost";
+  EXPECT_EQ(cursor(), 3u);
+  EXPECT_EQ(table_.counters().batch_seq_gaps.load(), 1u);
+  EXPECT_EQ(table_.counters().out_of_order_batches_dropped.load(), 3u);
+  EXPECT_EQ(flight_events(sensors::EventKind::batch_gap), 1u);
+  // The resend filling a hole closes it: a later hole starts a new timer.
+  EXPECT_FALSE(table_.admit(kNode, 5, 0, opened + 2 * config_.gap_skip_timeout_us));
+  EXPECT_TRUE(table_.admit(kNode, 3, 0, opened + 2 * config_.gap_skip_timeout_us));
+  EXPECT_FALSE(table_.admit(kNode, 5, 0, opened + 3 * config_.gap_skip_timeout_us));
+  EXPECT_EQ(table_.counters().batch_seq_gaps.load(), 1u);
+}
+
+TEST_F(SessionTableTest, RingDropsCountOnlyTheirGrowthOnAdmittedBatches) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  EXPECT_TRUE(table_.admit(kNode, 0, 5, kT0));
+  EXPECT_FALSE(table_.admit(kNode, 0, 9, kT0)) << "a duplicate reports nothing";
+  EXPECT_TRUE(table_.admit(kNode, 1, 7, kT0));
+  EXPECT_EQ(table_.counters().ring_drops_reported.load(), 7u);
+}
+
+TEST_F(SessionTableTest, QuarantineExpiryFiresAtExactlyTheTimeout) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  table_.disconnect(kNode, false, kT0);
+  EXPECT_EQ(flight_events(sensors::EventKind::session_quarantined), 1u);
+  EXPECT_TRUE(table_.expired(kT0 + config_.quarantine_timeout_us - 1).empty());
+  EXPECT_EQ(table_.expired(kT0 + config_.quarantine_timeout_us), std::vector<NodeId>{kNode});
+  table_.expire(kNode, 4);
+  EXPECT_EQ(table_.size(), 0u);
+  EXPECT_EQ(table_.counters().sessions_expired.load(), 1u);
+  EXPECT_EQ(flight_events(sensors::EventKind::session_expired), 1u);
+}
+
+TEST_F(SessionTableTest, ByeForgetsAndZeroQuarantineExpiresAtOnce) {
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  EXPECT_EQ(table_.disconnect(kNode, /*bye=*/true, kT0), SessionTable::Departure::forgotten);
+  EXPECT_EQ(table_.size(), 0u);
+  config_.quarantine_timeout_us = 0;
+  table_.hello(kNode, 42, tp::kProtocolVersion, false);
+  EXPECT_EQ(table_.disconnect(kNode, false, kT0), SessionTable::Departure::expire_now);
+  table_.expire(kNode, 0);
+  EXPECT_EQ(table_.size(), 0u);
+  EXPECT_EQ(table_.counters().sessions_expired.load(), 1u);
+}
+
+TEST_F(SessionTableTest, UnknownNodesNeverGetASession) {
+  EXPECT_FALSE(table_.admit(kNode, 0, 0, kT0));
+  EXPECT_FALSE(table_.admitted(kNode, 8));
+  EXPECT_FALSE(table_.ack(kNode).has_value());
+  EXPECT_EQ(table_.disconnect(kNode, false, kT0), SessionTable::Departure::forgotten);
+  EXPECT_EQ(table_.size(), 0u);
+}
+
+TEST_F(SessionTableTest, HalfWindowAdmittedTriggersAWindowUpdate) {
+  table_.hello(kNode, 42, tp::kCreditProtocolVersion, false);
+  ASSERT_TRUE(table_.ack(kNode).has_value());  // the HELLO_ACK
+  EXPECT_FALSE(table_.admitted(kNode, 3));
+  EXPECT_TRUE(table_.admitted(kNode, 1)) << "4 of an 8-record window since the last ack";
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 4u);
+  EXPECT_FALSE(table_.admitted(kNode, 3)) << "the count restarts at each ack";
+  EXPECT_EQ(table_.counters().window_update_acks.load(), 1u);
+  config_.credit_window_records = 1;  // threshold floors at one record
+  EXPECT_TRUE(table_.admitted(kNode, 0));
+}
+
+TEST_F(SessionTableTest, ReplenishCadenceWhileTheGrantIsBelowTheWindow) {
+  table_.hello(kNode, 42, tp::kCreditProtocolVersion, false);
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 8u);
+  EXPECT_EQ(table_.ack_period(kNode), config_.ack_period_us);
+  table_.admitted(kNode, 3);
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 5u);
+  EXPECT_EQ(table_.ack_period(kNode), config_.credit_replenish_us);
+  for (int i = 0; i < 3; ++i) table_.note_record_drained(kNode);
+  EXPECT_EQ(table_.backlog(kNode), 0u);
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 8u);
+  EXPECT_EQ(table_.ack_period(kNode), config_.ack_period_us) << "full window: plain cadence";
+  table_.admitted(kNode, 3);
+  table_.ack(kNode);
+  config_.credit_replenish_us = config_.ack_period_us;
+  EXPECT_EQ(table_.ack_period(kNode), config_.ack_period_us) << "replenish clamps up";
+}
+
+TEST_F(SessionTableTest, ZeroWindowGrantWhenTheBacklogFillsTheWindow) {
+  table_.hello(kNode, 42, tp::kCreditProtocolVersion, false);
+  table_.admitted(kNode, 12);
+  const tp::HelloAck ack = table_.ack(kNode).value();
+  ASSERT_TRUE(ack.credit.has_value());
+  EXPECT_EQ(ack.credit->incarnation, 42u);
+  EXPECT_EQ(ack.credit->window_records, 0u) << "clamped, never negative";
+  EXPECT_EQ(ack.credit->window_bytes, config_.credit_window_bytes);
+  EXPECT_EQ(table_.counters().zero_window_grants.load(), 1u);
+  EXPECT_EQ(table_.counters().credit_grants_sent.load(), 1u);
+  EXPECT_EQ(flight_events(sensors::EventKind::zero_window_grant), 1u);
+}
+
+TEST_F(SessionTableTest, V2SessionsGetNoGrant) {
+  table_.hello(kNode, 42, tp::kMinProtocolVersion, false);
+  EXPECT_FALSE(table_.ack(kNode)->credit.has_value());
+  EXPECT_FALSE(table_.admitted(kNode, 8)) << "no window updates either";
+  EXPECT_EQ(table_.ack_period(kNode), config_.ack_period_us);
+  EXPECT_EQ(table_.counters().credit_grants_sent.load(), 0u);
+  EXPECT_EQ(table_.counters().acks_sent.load(), 1u);
+}
+
+TEST_F(SessionTableTest, RelayLaneSurvivesARejoinButNotAReset) {
+  const SessionTable::Hello first = table_.hello(kNode, 42, tp::kCreditProtocolVersion, true);
+  EXPECT_FALSE(first.relay_lane.has_value());
+  ASSERT_TRUE(first.drained);
+  table_.bind_relay_lane(kNode, 3);
+  table_.disconnect(kNode, false, kT0);
+  const SessionTable::Hello again = table_.hello(kNode, 42, tp::kCreditProtocolVersion, true);
+  EXPECT_EQ(again.relay_lane, std::optional<std::size_t>(3));
+  EXPECT_EQ(again.drained, first.drained);
+  table_.disconnect(kNode, false, kT0);
+  EXPECT_FALSE(table_.hello(kNode, 43, tp::kCreditProtocolVersion, true).relay_lane);
+}
+
+TEST_F(SessionTableTest, DrainedHookRacesSessionChurnCleanly) {
+  // The pipeline exit bumps drained cells on the merger thread while the
+  // ordering thread publishes and retires them.
+  std::atomic<bool> stop{false};
+  std::thread merger([&] {
+    while (!stop.load(std::memory_order_relaxed)) table_.note_record_drained(kNode);
+  });
+  for (std::uint64_t incarnation = 0; incarnation < 200; ++incarnation) {
+    table_.hello(kNode, incarnation, tp::kCreditProtocolVersion, false);
+    table_.admitted(kNode, 4);
+    table_.ack(kNode);
+    table_.disconnect(kNode, false, kT0);
+    table_.expire(kNode, 0);
+  }
+  stop.store(true);
+  merger.join();
+  EXPECT_EQ(table_.size(), 0u);
 }
 
 // ---- MergeHeap --------------------------------------------------------------------

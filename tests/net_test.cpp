@@ -2,6 +2,9 @@
 // (blocking and incremental under arbitrary fragmentation). Poller backends
 // are covered by poller_test.cpp, parameterized over select and epoll.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/select.h>
 #include <sys/socket.h>
 
 #include <cstring>
@@ -88,6 +91,50 @@ TEST(TcpSocketTest, WriteToClosedPeerReportsClosed) {
     st = pair.value().first.write_all(ByteSpan{big.data(), big.size()});
   }
   EXPECT_EQ(st.code(), Errc::closed);
+}
+
+// write_all waits for writability with poll(2): select(2) cannot represent a
+// descriptor at or above FD_SETSIZE, which a busy daemon readily reaches.
+TEST(TcpSocketTest, WriteAllWaitsOnDescriptorBeyondFdSetSize) {
+  struct rlimit lim{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &lim), 0);
+  // Well past FD_SETSIZE: FD_SET on this fd writes outside the fd_set.
+  constexpr int kHighFd = FD_SETSIZE + 476;
+  const rlim_t needed = kHighFd + 16;
+  if (lim.rlim_cur < needed) {
+    struct rlimit raised = lim;
+    raised.rlim_cur = raised.rlim_max < needed ? raised.rlim_max : needed;
+    if (::setrlimit(RLIMIT_NOFILE, &raised) != 0 || raised.rlim_cur < needed) {
+      GTEST_SKIP() << "RLIMIT_NOFILE too low to exercise fds beyond FD_SETSIZE";
+    }
+  }
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.is_ok());
+  auto client = TcpSocket::connect("127.0.0.1", listener.value().port());
+  ASSERT_TRUE(client.is_ok());
+  auto server = listener.value().accept();
+  ASSERT_TRUE(server.is_ok());
+  TcpSocket high(FdHandle(::fcntl(client.value().fd(), F_DUPFD, kHighFd)));
+  ASSERT_GE(high.fd(), kHighFd);
+  ASSERT_TRUE(high.set_nonblocking(true));
+
+  // Far more than the socket buffers hold: write_all must wait for the
+  // peer, which starts draining after 50 ms.
+  const std::vector<std::uint8_t> payload(8 << 20, 0x5a);
+  std::size_t received = 0;
+  std::thread peer([&] {
+    sleep_micros(50'000);
+    std::vector<std::uint8_t> chunk(64 << 10);
+    while (received < payload.size()) {
+      auto n = server.value().read_some(MutableByteSpan{chunk.data(), chunk.size()});
+      if (!n || n.value() == 0) break;
+      received += n.value();
+    }
+  });
+  const Status st = high.write_all(ByteSpan{payload.data(), payload.size()});
+  peer.join();
+  EXPECT_TRUE(st) << st.to_string();
+  EXPECT_EQ(received, payload.size());
 }
 
 TEST(FdHandleTest, MoveSemantics) {
