@@ -49,14 +49,17 @@
 #  11. sanitize: a separate ASan+UBSan tree running the resilience label
 #      (including the flow-control property suite), which is where lifetime
 #      and data-race-adjacent bugs actually surface, plus the output
-#      encoders that write records into stack buffers and write_all's
-#      writability wait on a descriptor beyond FD_SETSIZE
+#      encoders that write records into stack buffers, write_all's
+#      writability wait on a descriptor beyond FD_SETSIZE, the upstream
+#      client suite (blocking flush, reconnect budget, writable toggling)
+#      and the SPSC queue's capacity guard
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the window-update and ack-cadence tests, the session
 #      table, the flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, reader migration,
-#      two-hop sync, metrics aggregation), and the flight-recorder and
-#      health-rollup suites — the cross-thread stats counters, the credit
+#      two-hop sync, metrics aggregation, relay reconnect + replay), the
+#      upstream client suite, and the flight-recorder and health-rollup
+#      suites — the cross-thread stats counters, the credit
 #      drained-record cells (bumped on the merger thread while the session
 #      table publishes and retires them), the relay lane cells, the threaded
 #      close path, and the gateway's fan-out thread must stay clean on the
@@ -526,14 +529,15 @@ cmake --build build-asan -j"$JOBS"
 ctest --test-dir build-asan --output-on-failure -L resilience
 # The stack-buffer output encoders: the allocation-count binary (its counting
 # operator new allocates through the sanitizer's malloc), the shm sink and
-# the native codec.
+# the native codec; the upstream client's outbox and socket swaps across
+# reconnects; and the SPSC queue's capacity guard.
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize'
+  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue'
 
 echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation'
+  -R 'IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|UpstreamClient'
 
 echo "==> CI green"

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     options.name = flags.str("sub-name");
     options.filter = flags.str("filter");
     options.kind = mode == "agg" ? tp::SubscriptionKind::aggregate : tp::SubscriptionKind::stream;
-    options.queue_records = static_cast<std::uint32_t>(flags.num("sub-queue-records"));
+    options.queue_records = flags.count<std::uint32_t>("sub-queue-records");
     options.agg_window_us = static_cast<std::uint64_t>(flags.num("agg-window-us"));
     auto connected =
         consumers::GatewayClient::connect(host, static_cast<std::uint16_t>(port), options);

@@ -90,12 +90,12 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
 
   NodeConfig config;
-  config.node = static_cast<NodeId>(flags.num("node"));
+  config.node = flags.node_id("node");
   config.shm_name = flags.str("shm");
-  config.sensor_slots = static_cast<std::uint32_t>(flags.num("slots"));
-  config.ring_capacity = static_cast<std::uint32_t>(flags.num("ring-bytes"));
-  config.exs.batch_max_records = static_cast<std::uint32_t>(flags.num("batch-records"));
-  config.exs.batch_max_bytes = static_cast<std::uint32_t>(flags.num("batch-bytes"));
+  config.sensor_slots = flags.count<std::uint32_t>("slots");
+  config.ring_capacity = flags.count<std::uint32_t>("ring-bytes");
+  config.exs.batch_max_records = flags.count<std::uint32_t>("batch-records");
+  config.exs.batch_max_bytes = flags.count<std::uint32_t>("batch-bytes");
   config.exs.batch_max_age_us = flags.num("batch-age-us");
   config.exs.select_timeout_us = flags.num("select-timeout-us");
   auto backend = net::parse_poller_backend(flags.str("poller"));
@@ -104,13 +104,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.exs.poller = backend.value();
-  config.exs.replay_buffer_batches = static_cast<std::uint32_t>(flags.num("replay-batches"));
-  config.exs.replay_buffer_bytes = static_cast<std::size_t>(flags.num("replay-bytes"));
+  config.exs.replay_buffer_batches = flags.count<std::uint32_t>("replay-batches");
+  config.exs.replay_buffer_bytes = flags.count<std::size_t>("replay-bytes");
   config.exs.pace = flags.flag("exs-pace");
   config.exs.reconnect_backoff_base_us = flags.num("backoff-base-us");
   config.exs.reconnect_backoff_cap_us = flags.num("backoff-cap-us");
   config.exs.reconnect_jitter = flags.real("backoff-jitter");
-  config.exs.max_reconnect_attempts = static_cast<std::uint32_t>(flags.num("max-reconnects"));
+  config.exs.max_reconnect_attempts = flags.count<std::uint32_t>("max-reconnects");
   config.exs.heartbeat_period_us = flags.num("heartbeat-us");
   config.exs.ism_silence_timeout_us = flags.num("ism-silence-us");
   config.exs.metrics_interval_us = flags.num("metrics-interval") * 1'000'000;
@@ -123,9 +123,9 @@ int main(int argc, char** argv) {
   fault_plan.truncate_probability = flags.real("fault-trunc");
   fault_plan.stall_probability = flags.real("fault-stall");
   fault_plan.stall_us = flags.num("fault-stall-us");
-  fault_plan.stall_every = static_cast<std::uint32_t>(flags.num("fault-stall-every"));
+  fault_plan.stall_every = flags.count<std::uint32_t>("fault-stall-every");
   const std::string ism_host = flags.str("ism-host");
-  const auto ism_port = static_cast<std::uint16_t>(flags.num("ism-port"));
+  const auto ism_port = flags.count<std::uint16_t>("ism-port");
   const int nice_delta = static_cast<int>(flags.num("nice"));
   const bool attach = flags.flag("attach");
   if (flags.flag("verbose")) Logging::set_level(LogLevel::info);

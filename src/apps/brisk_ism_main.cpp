@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
 
   ManagerConfig config;
-  config.ism.port = static_cast<std::uint16_t>(flags.num("port"));
+  config.ism.port = flags.count<std::uint16_t>("port");
   config.ism.select_timeout_us = flags.num("select-timeout-us");
   auto backend = net::parse_poller_backend(flags.str("poller"));
   if (!backend) {
@@ -116,10 +116,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.ism.poller = backend.value();
-  config.ism.reader_threads = static_cast<std::size_t>(flags.num("ism-reader-threads"));
-  config.ism.ingest_queue_frames = static_cast<std::size_t>(flags.num("ingest-queue-frames"));
-  config.ism.sorter_shards = static_cast<std::size_t>(flags.num("ism-sorter-shards"));
-  config.ism.shard_queue_records = static_cast<std::size_t>(flags.num("shard-queue-records"));
+  config.ism.reader_threads = flags.count<std::size_t>("ism-reader-threads");
+  config.ism.ingest_queue_frames = flags.count<std::size_t>("ingest-queue-frames");
+  config.ism.sorter_shards = flags.count<std::size_t>("ism-sorter-shards");
+  config.ism.shard_queue_records = flags.count<std::size_t>("shard-queue-records");
   config.ism.stats_interval_us = flags.num("stats-interval") * 1'000'000;
   config.ism.metrics_interval_us = flags.num("metrics-interval") * 1'000'000;
   config.ism.sorter.initial_frame_us = flags.num("frame-us");
@@ -132,19 +132,8 @@ int main(int argc, char** argv) {
   config.ism.quarantine_timeout_us = flags.num("quarantine-us");
   config.ism.ack_period_us = flags.num("ack-period-us");
   config.ism.gap_skip_timeout_us = flags.num("gap-skip-us");
-  const long long credit_records = flags.num("ism-credit-records");
-  const long long credit_bytes = flags.num("ism-credit-bytes");
-  if (credit_records < 0 || credit_records > 0xFFFF'FFFFLL) {
-    std::fprintf(stderr, "brisk_ism: --ism-credit-records must be in [0, 4294967295], got %lld\n",
-                 credit_records);
-    return 2;
-  }
-  if (credit_bytes < 0) {
-    std::fprintf(stderr, "brisk_ism: --ism-credit-bytes must be >= 0, got %lld\n", credit_bytes);
-    return 2;
-  }
-  config.ism.credit_window_records = static_cast<std::uint32_t>(credit_records);
-  config.ism.credit_window_bytes = static_cast<std::uint64_t>(credit_bytes);
+  config.ism.credit_window_records = flags.count<std::uint32_t>("ism-credit-records");
+  config.ism.credit_window_bytes = flags.count<std::uint64_t>("ism-credit-bytes");
   config.ism.credit_replenish_us = flags.num("credit-replenish-us");
   const std::string relay_to = flags.str("relay-to");
   if (!relay_to.empty()) {
@@ -159,10 +148,10 @@ int main(int argc, char** argv) {
     config.relay_enabled = true;
     config.relay.parent_host = relay_to.substr(0, colon);
     config.relay.parent_port = static_cast<std::uint16_t>(parent_port);
-    config.relay.relay_node = static_cast<NodeId>(flags.num("relay-node"));
+    config.relay.relay_node = flags.node_id("relay-node");
     config.relay.poller = backend.value();
-    config.relay.queue_records = static_cast<std::size_t>(flags.num("relay-queue-records"));
-    config.relay.batch_max_records = static_cast<std::size_t>(flags.num("relay-batch-records"));
+    config.relay.queue_records = flags.count<std::size_t>("relay-queue-records");
+    config.relay.batch_max_records = flags.count<std::size_t>("relay-batch-records");
     config.relay.batch_max_age_us = flags.num("relay-batch-age-us");
     config.relay.idle_watermark_period_us = flags.num("relay-idle-wm-us");
     config.relay.aggregate_metrics = flags.flag("relay-aggregate-metrics");
@@ -186,15 +175,14 @@ int main(int argc, char** argv) {
   config.gateway.tcp_enabled = consumer_port >= 0;
   config.gateway.consumer_port = static_cast<std::uint16_t>(consumer_port < 0 ? 0 : consumer_port);
   config.gateway.poller = backend.value();
-  config.gateway.queue_records = static_cast<std::size_t>(flags.num("consumer-queue-records"));
-  config.gateway.max_queue_records =
-      static_cast<std::size_t>(flags.num("consumer-max-queue-records"));
-  config.gateway.lane_records = static_cast<std::size_t>(flags.num("consumer-lane-records"));
-  config.gateway.outbox_bytes = static_cast<std::size_t>(flags.num("consumer-outbox-bytes"));
+  config.gateway.queue_records = flags.count<std::size_t>("consumer-queue-records");
+  config.gateway.max_queue_records = flags.count<std::size_t>("consumer-max-queue-records");
+  config.gateway.lane_records = flags.count<std::size_t>("consumer-lane-records");
+  config.gateway.outbox_bytes = flags.count<std::size_t>("consumer-outbox-bytes");
   config.gateway.overrun_grace_us = flags.num("consumer-overrun-grace-us");
   config.gateway.agg_window_us = flags.num("consumer-agg-window-us");
-  config.gateway.max_subscribers = static_cast<std::size_t>(flags.num("consumer-max-subscribers"));
-  config.output_ring_capacity = static_cast<std::uint32_t>(flags.num("output-ring-bytes"));
+  config.gateway.max_subscribers = flags.count<std::size_t>("consumer-max-subscribers");
+  config.output_ring_capacity = flags.count<std::uint32_t>("output-ring-bytes");
   config.output_shm_name = flags.str("shm");
   config.picl_trace_path = flags.str("picl");
   if (flags.flag("picl-utc")) {
@@ -209,7 +197,7 @@ int main(int argc, char** argv) {
   fault_plan.truncate_probability = flags.real("fault-trunc");
   fault_plan.stall_probability = flags.real("fault-stall");
   fault_plan.stall_us = flags.num("fault-stall-us");
-  fault_plan.stall_every = static_cast<std::uint32_t>(flags.num("fault-stall-every"));
+  fault_plan.stall_every = flags.count<std::uint32_t>("fault-stall-every");
   // The ISM's outbound traffic is all control frames (acks, sync, bye) —
   // sparing them would make every --fault-* flag a no-op here. Ack loss is
   // exactly what ISM-side drills exist to exercise.

@@ -10,8 +10,10 @@
 //    typed values; nothing is stringly-typed twice.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -147,6 +149,25 @@ class FlagRegistry {
   }
   [[nodiscard]] long long num(const std::string& name) const {
     return *parse_int(find(name, Type::integer).value);
+  }
+  /// Reads an integer flag that counts, sizes or names something as a T.
+  /// Negative values and values past `max` (the largest T by default) exit
+  /// 2 with a message naming the flag — a cast would wrap them silently.
+  template <typename T>
+  [[nodiscard]] T count(const std::string& name,
+                        unsigned long long max = std::numeric_limits<T>::max()) const {
+    const long long value = num(name);
+    if (value < 0 || static_cast<unsigned long long>(value) > max) {
+      std::fprintf(stderr, "%s: flag --%s must be in [0, %llu], got %lld\n", program_.c_str(),
+                   name.c_str(), max, value);
+      std::exit(2);
+    }
+    return static_cast<T>(value);
+  }
+  /// A node id flag: below 0xFFFFFFFF, the id reserved for ISM-originated
+  /// metrics records.
+  [[nodiscard]] std::uint32_t node_id(const std::string& name) const {
+    return count<std::uint32_t>(name, 0xFFFF'FFFEu);
   }
   [[nodiscard]] double real(const std::string& name) const {
     return *parse_double(find(name, Type::real).value);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 namespace brisk {
@@ -14,8 +15,11 @@ template <typename T>
 class SpscQueue {
  public:
   /// `capacity` is the number of elements the queue can hold; rounded up to
-  /// a power of two (minimum 2) so the cursor math is a mask.
+  /// a power of two (minimum 2) so the cursor math is a mask. A capacity
+  /// past the largest power of two has no such rounding: std::length_error.
   explicit SpscQueue(std::size_t capacity) {
+    constexpr std::size_t kMaxCapacity = ~(~std::size_t{0} >> 1);
+    if (capacity > kMaxCapacity) throw std::length_error("SpscQueue capacity too large");
     std::size_t rounded = 2;
     while (rounded < capacity) rounded <<= 1;
     slots_.resize(rounded);

@@ -1,11 +1,8 @@
 #include "ism/relay.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 
-#include "common/logging.hpp"
 #include "common/time_util.hpp"
 #include "sensors/metrics_record.hpp"
 #include "tp/wire.hpp"
@@ -25,9 +22,17 @@ tp::LinkConfig make_link_config(const RelayConfig& config) {
   return link;
 }
 
-std::uint64_t derive_incarnation() {
-  return (static_cast<std::uint64_t>(::getpid()) << 32) ^
-         static_cast<std::uint64_t>(monotonic_micros());
+tp::ClientConfig make_client_config(const RelayConfig& config) {
+  tp::ClientConfig client;
+  client.host = config.parent_host;
+  client.port = config.parent_port;
+  client.poller = config.poller;
+  client.outbox_bytes = config.outbox_bytes;
+  client.send_stall_timeout_us = config.send_stall_timeout_us;
+  client.heartbeat_period_us = config.heartbeat_period_us;
+  client.reconnect = config.reconnect;
+  client.log_name = "relay " + std::to_string(config.relay_node);
+  return client;
 }
 
 }  // namespace
@@ -35,39 +40,26 @@ std::uint64_t derive_incarnation() {
 Result<std::shared_ptr<RelayEgress>> RelayEgress::connect(const RelayConfig& config,
                                                           clk::Clock& clock) {
   RelayConfig cfg = config;
-  if (cfg.incarnation == 0) cfg.incarnation = derive_incarnation();
-  auto socket = net::TcpSocket::connect(cfg.parent_host, cfg.parent_port);
-  if (!socket) return socket.status();
-  Status st = socket.value().set_nodelay(true);
+  if (cfg.incarnation == 0) cfg.incarnation = tp::derive_incarnation();
+  auto relay = std::shared_ptr<RelayEgress>(new RelayEgress(cfg, clock));
+  Status st = relay->client_.connect();
   if (!st) return st;
-  auto relay =
-      std::shared_ptr<RelayEgress>(new RelayEgress(cfg, clock, std::move(socket).value()));
-  st = relay->link_.send_hello();
-  if (!st) return st;
-  st = relay->socket_.set_nonblocking(true);
-  if (!st) return st;
-  relay->connected_.store(true, std::memory_order_relaxed);
   relay->thread_ = std::thread([raw = relay.get()] { raw->run(); });
   return relay;
 }
 
-RelayEgress::RelayEgress(const RelayConfig& config, clk::Clock& clock, net::TcpSocket socket)
+RelayEgress::RelayEgress(const RelayConfig& config, clk::Clock& clock)
     : config_(config),
-      clock_(clock),
-      socket_(std::move(socket)),
-      outbox_(config.outbox_bytes),
       queue_(config.queue_records),
       link_(make_link_config(config), clock,
             [this](ByteBuffer payload) {
               // Egress thread only. Transport loss is survived by the
               // reconnect schedule; the link must not see it as fatal.
-              Status st = send_frame(payload.view());
-              if (!st) handle_disconnect();
+              (void)client_.send(payload.view());
               return Status::ok();
             }),
+      client_(make_client_config(config), link_),
       builder_(config.relay_node),
-      reconnect_(config.reconnect,
-                 static_cast<std::uint64_t>(config.relay_node) ^ config.incarnation),
       aggregator_(config.relay_node, config.metrics_flush_period_us) {}
 
 RelayEgress::~RelayEgress() { stop(); }
@@ -114,119 +106,46 @@ RelayEgressStats RelayEgress::stats() const {
   s.records_forwarded = records_forwarded_.load(std::memory_order_relaxed);
   s.batches_sent = batches_sent_.load(std::memory_order_relaxed);
   s.queue_stalls = queue_stalls_.load(std::memory_order_relaxed);
-  s.sync_polls_answered = sync_polls_answered_.load(std::memory_order_relaxed);
-  s.sync_adjustments = sync_adjustments_.load(std::memory_order_relaxed);
-  s.reconnects = reconnects_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(link_mutex_);
   s.metrics_absorbed = aggregator_.absorbed();
   s.aggregated_flushes = aggregator_.flushes();
   s.link = link_.stats();
+  s.sync_polls_answered = s.link.sync_polls_answered;
+  s.sync_adjustments = s.link.sync_adjustments;
+  s.reconnects = s.link.reconnects;
   return s;
 }
 
 void RelayEgress::run() {
-  // The poller is the egress thread's wait primitive: readable wakes it for
-  // parent acks/sync polls, writable (subscribed only while the outbox has
-  // deferred bytes) wakes it the moment the kernel buffer drains. A
-  // backend that fails to construct degrades to plain fixed-interval naps.
-  poller_ = net::make_poller(config_.poller);
-  watch_socket();
   while (!stop_.load(std::memory_order_relaxed)) {
     {
       std::lock_guard<std::mutex> lk(link_mutex_);
       Status st = cycle();
-      if (!st) {
-        if (link_.saw_bye()) {
-          // Parent shut down cleanly; nothing more will be acked.
-          drained_.store(true, std::memory_order_relaxed);
-          return;
-        }
-        handle_disconnect();
-      }
+      if (!st) client_.handle_disconnect();
     }
-    if (poller_ && watched_fd_ >= 0) {
-      (void)poller_->poll_once(config_.poll_timeout_us);
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(config_.poll_timeout_us));
-    }
+    // Readable wakes the thread for parent acks and sync polls; writable
+    // (subscribed only while the outbox holds deferred bytes) the moment
+    // the kernel buffer drains.
+    (void)client_.poller().poll_once(config_.poll_timeout_us);
   }
-}
-
-Status RelayEgress::send_frame(ByteSpan payload) {
-  Status st = outbox_.enqueue_frame(payload);
-  if (st.code() == Errc::buffer_full) {
-    // The outbox cap is the relay's backpressure boundary: block here (the
-    // egress thread only — the pipeline keeps filling the SPSC queue) until
-    // the parent drains enough or the stall window closes the link.
-    const TimeMicros deadline = monotonic_micros() + config_.send_stall_timeout_us;
-    if (metrics::FlightRecorder* flight = flight_.load(std::memory_order_acquire)) {
-      flight->record(sensors::EventKind::watermark_stall, config_.relay_node,
-                     outbox_.pending_bytes(), clock_.now());
-    }
-    for (;;) {
-      Status pump_st = outbox_.pump(socket_);
-      if (!pump_st) return pump_st;
-      st = outbox_.enqueue_frame(payload);
-      if (st.code() != Errc::buffer_full) break;
-      if (monotonic_micros() >= deadline) {
-        return Status(Errc::timeout, "relay outbox wedged past send stall timeout");
-      }
-      sleep_micros(1'000);
-    }
-  }
-  if (!st) return st;
-  Status pump_st = outbox_.pump(socket_);
-  if (pump_st) last_tx_us_ = monotonic_micros();
-  update_write_interest();
-  return pump_st;
-}
-
-void RelayEgress::watch_socket() {
-  if (!poller_) return;
-  if (watched_fd_ >= 0 && watched_fd_ != socket_.fd()) unwatch_socket();
-  if (!socket_.valid() || !connected_.load(std::memory_order_relaxed)) return;
-  net::Readiness interest = net::Readiness::readable;
-  if (want_writable_) interest = interest | net::Readiness::writable;
-  // Wake-only callback: the cycle that follows poll_once() does all the
-  // actual socket work under link_mutex_.
-  Status st = poller_->watch(socket_.fd(), interest, [](int, net::Readiness) {});
-  watched_fd_ = st ? socket_.fd() : -1;
-}
-
-void RelayEgress::unwatch_socket() {
-  if (poller_ && watched_fd_ >= 0) (void)poller_->unwatch(watched_fd_);
-  watched_fd_ = -1;
-}
-
-void RelayEgress::update_write_interest() {
-  const bool want = !outbox_.empty();
-  if (want == want_writable_) return;
-  want_writable_ = want;
-  watch_socket();
 }
 
 Status RelayEgress::cycle() {
-  if (!connected_.load(std::memory_order_relaxed)) {
-    maybe_reconnect();
-    if (!connected_.load(std::memory_order_relaxed)) return Status::ok();
+  if (!client_.service()) {
+    // The parent said BYE (nothing more will be acked) or the reconnect
+    // budget is spent: the egress is done.
+    if (link_.saw_bye()) drained_.store(true, std::memory_order_relaxed);
+    stop_.store(true, std::memory_order_relaxed);
+    return Status::ok();
   }
-  if (!outbox_.empty()) {
-    // The poller woke us because the kernel buffer drained (or the nap
-    // expired); flush deferred frames before generating new ones.
-    Status st = outbox_.pump(socket_);
-    if (!st) return st;
-    if (outbox_.empty()) last_tx_us_ = monotonic_micros();
-    update_write_interest();
-  }
-  Status st = pump_socket();
-  if (!st) return st;
+  if (!client_.connected()) return Status::ok();
   // Capture the promise *before* draining the queue: any record this cycle
   // does not see was delivered after this tick value was published, and the
   // pipeline delivers in sorted order, so its timestamp is >= the promise.
   // Reading the tick afterwards could promise over a record that slipped
   // into the queue in between.
   const TimeMicros promised_wm = tick_watermark_.load(std::memory_order_relaxed);
-  st = service_queue();
+  Status st = service_queue();
   if (!st) return st;
   const bool draining = drain_requested_.load(std::memory_order_relaxed);
   st = flush_aggregates(draining && queue_.empty());
@@ -239,12 +158,8 @@ Status RelayEgress::cycle() {
     st = send_idle_watermark(promised_wm);
     if (!st) return st;
   }
-  if (config_.heartbeat_period_us > 0 && now - last_tx_us_ >= config_.heartbeat_period_us) {
-    st = link_.send_heartbeat();
-    if (!st) return st;
-  }
   if (draining && !drained_.load(std::memory_order_relaxed) && queue_.empty() &&
-      builder_.empty() && outbox_.empty() && link_.replay().empty() &&
+      builder_.empty() && client_.pending_bytes() == 0 && link_.replay().empty() &&
       !link_.awaiting_ack()) {
     // Everything shipped and acked (outbox included — a deferred frame must
     // not be overtaken by the goodbye): say goodbye. The parent flushes
@@ -253,67 +168,11 @@ Status RelayEgress::cycle() {
     ByteBuffer out;
     xdr::Encoder enc(out);
     tp::put_type(tp::MsgType::bye, enc);
-    st = send_frame(out.view());
+    st = client_.send(out.view());
     if (!st) return st;
     drained_.store(true, std::memory_order_relaxed);
   }
   return Status::ok();
-}
-
-Status RelayEgress::pump_socket() {
-  std::uint8_t chunk[16 * 1024];
-  for (;;) {
-    auto n = socket_.read_some(MutableByteSpan{chunk, sizeof chunk});
-    if (!n) {
-      if (n.status().code() == Errc::would_block) return Status::ok();
-      return n.status();
-    }
-    if (n.value() == 0) return Status(Errc::closed, "parent ISM closed connection");
-    frame_reader_.feed(ByteSpan{chunk, n.value()});
-    for (;;) {
-      auto frame = frame_reader_.next();
-      if (!frame) return frame.status();
-      if (!frame.value().has_value()) break;
-      Status st = handle_frame(frame.value()->view());
-      if (!st) return st;
-    }
-  }
-}
-
-Status RelayEgress::handle_frame(ByteSpan payload) {
-  xdr::Decoder decoder(payload);
-  auto type = tp::peek_type(decoder);
-  if (!type) return type.status();
-  switch (type.value()) {
-    case tp::MsgType::time_req: {
-      // The parent's clock-sync master polls the relay exactly as it would
-      // an EXS; answer with the relay clock plus the parent-relative
-      // correction accumulated so far.
-      auto req = tp::decode_time_req(decoder);
-      if (!req) return req.status();
-      ByteBuffer out;
-      xdr::Encoder enc(out);
-      tp::put_type(tp::MsgType::time_resp, enc);
-      tp::encode_time_resp(
-          {req.value().request_id,
-           clock_.now() + correction_.load(std::memory_order_relaxed)},
-          enc);
-      sync_polls_answered_.fetch_add(1, std::memory_order_relaxed);
-      return send_frame(out.view());
-    }
-    case tp::MsgType::adjust: {
-      auto adj = tp::decode_adjust(decoder);
-      if (!adj) return adj.status();
-      correction_.fetch_add(adj.value().delta, std::memory_order_relaxed);
-      sync_adjustments_.fetch_add(1, std::memory_order_relaxed);
-      return Status::ok();
-    }
-    default:
-      if (tp::UpstreamLink::owns_frame(type.value())) {
-        return link_.handle_frame(type.value(), decoder);
-      }
-      return Status(Errc::malformed, "unexpected message type at relay egress");
-  }
 }
 
 Status RelayEgress::service_queue() {
@@ -328,12 +187,12 @@ Status RelayEgress::service_queue() {
       // leave as one merged "agg." snapshot per flush period. The relay's
       // own snapshot (reserved node id, re-stamped below) and 0xFF02/0xFF03
       // records always pass through.
-      sensors::apply_time_delta(record, correction_.load(std::memory_order_relaxed));
+      sensors::apply_time_delta(record, link_.correction());
       aggregator_.absorb(record);
       continue;
     }
     if (record.node == sensors::kIsmMetricsNodeId) record.node = config_.relay_node;
-    sensors::apply_time_delta(record, correction_.load(std::memory_order_relaxed));
+    sensors::apply_time_delta(record, link_.correction());
     if (builder_.empty()) batch_started_at_ = monotonic_micros();
     last_record_ts_ = std::max(last_record_ts_, record.timestamp);
     Status st = builder_.add_record(record);
@@ -399,7 +258,7 @@ Status RelayEgress::send_idle_watermark(TimeMicros tick_wm) {
   // delivered; by sortedness every future record is >= it. Until the relay
   // has released anything there is nothing safe to promise.
   if (tick_wm == INT64_MIN) return Status::ok();
-  const TimeMicros candidate = tick_wm + correction_.load(std::memory_order_relaxed);
+  const TimeMicros candidate = tick_wm + link_.correction();
   if (candidate <= wm_out_) {
     last_wm_tx_us_ = monotonic_micros();  // nothing new to promise; re-arm
     return Status::ok();
@@ -409,56 +268,9 @@ Status RelayEgress::send_idle_watermark(TimeMicros tick_wm) {
   xdr::Encoder enc(out);
   tp::put_type(tp::MsgType::relay_watermark, enc);
   tp::encode_relay_watermark({config_.relay_node, wm_out_}, enc);
-  Status st = send_frame(out.view());
+  Status st = client_.send(out.view());
   if (st) last_wm_tx_us_ = monotonic_micros();
   return st;
-}
-
-void RelayEgress::handle_disconnect() {
-  if (!connected_.load(std::memory_order_relaxed)) return;
-  connected_.store(false, std::memory_order_relaxed);
-  unwatch_socket();
-  socket_.close();
-  frame_reader_ = net::FrameReader{};
-  // Deferred frames die with the connection; the replay buffer re-ships
-  // everything that matters after the reconnect handshake.
-  outbox_ = net::FrameSendBuffer(config_.outbox_bytes);
-  want_writable_ = false;
-  link_.on_disconnect();
-  reconnect_.arm(monotonic_micros());
-  BRISK_LOG_WARN << "relay " << config_.relay_node
-                 << ": lost parent ISM connection, entering reconnect";
-}
-
-void RelayEgress::maybe_reconnect() {
-  if (!reconnect_.due(monotonic_micros())) return;
-  auto socket = net::TcpSocket::connect(config_.parent_host, config_.parent_port);
-  if (socket) {
-    net::TcpSocket fresh = std::move(socket).value();
-    Status st = fresh.set_nodelay(true);
-    if (st) st = fresh.set_nonblocking(true);
-    if (st) {
-      socket_ = std::move(fresh);
-      connected_.store(true, std::memory_order_relaxed);
-      watch_socket();
-      reconnect_.record_success();
-      reconnects_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics::FlightRecorder* flight = flight_.load(std::memory_order_acquire)) {
-        flight->record(sensors::EventKind::reconnect, config_.relay_node,
-                       reconnects_.load(std::memory_order_relaxed), clock_.now());
-      }
-      // Watermarks are cumulative promises; after replay the parent's lane
-      // watermark catches back up with the next batch or idle frame.
-      BRISK_LOG_INFO << "relay " << config_.relay_node << ": reconnected to parent ISM";
-      (void)link_.on_reconnected();
-      return;
-    }
-  }
-  if (!reconnect_.record_failure(monotonic_micros())) {
-    BRISK_LOG_ERROR << "relay " << config_.relay_node << ": giving up after "
-                    << reconnect_.failed_attempts() << " reconnect attempts";
-    stop_.store(true, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace brisk::ism

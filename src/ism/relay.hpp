@@ -3,32 +3,28 @@
 // A relay ISM runs the full ingest/ordering pipeline for the EXSes behind
 // it, then — in addition to local sinks — forwards its post-merge,
 // post-CRE ordered output to a *parent* ISM. To the parent the relay is
-// EXS-shaped: it connects as a TP client, says HELLO with the
-// ordered-stream capability bit, ships RELAY_BATCH frames through the same
-// tp::UpstreamLink (replay buffer, go-back-N, credit pacing) an EXS uses,
-// answers the parent's clock-sync polls, and folds ADJUST deltas into a
-// parent-relative correction that it applies to every record before it
-// leaves — so corrections compose hop by hop and records reach the root in
-// the root's timebase.
+// EXS-shaped: it ships RELAY_BATCH frames (HELLO carries the
+// ordered-stream capability bit) through the same two pieces an EXS uses —
+// tp::UpstreamLink for the session and clock-sync protocol (replay buffer,
+// go-back-N, credit pacing, TIME_REQ answers, ADJUST deltas) and
+// tp::UpstreamClient for the socket (outbox, want-writable toggling,
+// reconnect, heartbeat). The link's parent-relative correction is applied
+// to every record before it leaves, so corrections compose hop by hop and
+// records reach the root in the root's timebase.
+//
+// What the relay owns itself: the pipeline→egress SPSC queue, the
+// RelayBatchBuilder, the metrics aggregator, the watermarks, and the
+// egress thread.
 //
 // Threading: RelayEgress is an ism::Sink. accept()/tick() run on the relay
 // pipeline's delivery thread (merger thread when sharded, ordering thread
-// inline) and only touch a bounded SPSC queue plus an atomic watermark
-// cell; a dedicated egress thread owns the socket, the frame reader, the
-// UpstreamLink, the batch builder, and a net::Poller it sleeps on between
-// cycles — it wakes early when the parent sends acks or (while the outbox
-// holds deferred bytes) when the socket drains, instead of always paying
-// the fixed poll_timeout_us nap. The pipeline is never blocked by a
-// slow or dead parent link for long — backpressure is absorbed by the
-// queue (spin + stall counter) and the bounded replay buffer.
-//
-// Outbound frames go through a FrameSendBuffer: a full kernel send buffer
-// defers whole frames instead of blocking the egress thread mid-write, and
-// the socket's poller subscription carries Readiness::writable only while
-// that outbox is non-empty (the same want-writable toggling the ISM's
-// control plane and the consumer gateway use). Only when the outbox itself
-// hits its cap does the egress thread fall back to a bounded blocking
-// flush — that is the backpressure that ultimately slows the relay down.
+// inline) and only touch the bounded SPSC queue plus an atomic watermark
+// cell; the dedicated egress thread does everything else under
+// link_mutex_, and sleeps on the client's poller between cycles — it wakes
+// early when the parent sends acks or (while the outbox holds deferred
+// bytes) when the socket drains. The pipeline is never blocked by a slow
+// or dead parent link for long — backpressure is absorbed by the queue
+// (spin + stall counter) and the bounded replay buffer.
 //
 // Watermark discipline: the relay's output stream is (timestamp, node)
 // sorted, so a sealed batch's watermark is the timestamp of its *last*
@@ -52,8 +48,8 @@
 #include "metrics/flight_recorder.hpp"
 #include "net/frame.hpp"
 #include "net/poller.hpp"
-#include "net/socket.hpp"
 #include "tp/batch.hpp"
+#include "tp/upstream_client.hpp"
 #include "tp/upstream_link.hpp"
 
 namespace brisk::ism {
@@ -66,7 +62,7 @@ struct RelayConfig {
   /// reserved kIsmMetricsNodeId, so snapshots from different relays stay
   /// distinguishable at the root.
   NodeId relay_node = 0;
-  /// Session incarnation; 0 = derive one at start (pid ⊕ monotonic clock),
+  /// Session incarnation; 0 = derive one at start (tp::derive_incarnation),
   /// exactly like the EXS daemon.
   std::uint64_t incarnation = 0;
   /// Depth of the pipeline→egress record queue.
@@ -142,28 +138,22 @@ class RelayEgress final : public Sink {
   [[nodiscard]] const char* name() const noexcept override { return "relay"; }
 
   /// Parent-relative clock correction accumulated from ADJUST frames.
-  [[nodiscard]] TimeMicros correction() const noexcept {
-    return correction_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool connected() const noexcept {
-    return connected_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] TimeMicros correction() const noexcept { return link_.correction(); }
+  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
   [[nodiscard]] RelayEgressStats stats() const;
 
   /// Shares the co-located ISM's flight recorder so relay-side events
   /// (reconnects, outbox stalls) land in the same ring. May be called from
   /// any thread; null detaches.
   void set_flight_recorder(metrics::FlightRecorder* flight) noexcept {
-    flight_.store(flight, std::memory_order_release);
+    client_.set_flight_recorder(flight);
   }
 
  private:
-  RelayEgress(const RelayConfig& config, clk::Clock& clock, net::TcpSocket socket);
+  RelayEgress(const RelayConfig& config, clk::Clock& clock);
 
   void run();                     // egress thread main
   Status cycle();                 // one egress iteration (link_mutex_ held)
-  Status pump_socket();           // read + dispatch parent frames
-  Status handle_frame(ByteSpan payload);
   Status service_queue();         // move queued records into the builder
   /// Ships the aggregator's merged snapshot into the builder when its flush
   /// period elapses (`force` also flushes pending state — the drain path).
@@ -172,61 +162,34 @@ class RelayEgress final : public Sink {
   /// `tick_wm` must have been read *before* the cycle's service_queue()
   /// pass — see cycle() for why promising a later value would be unsound.
   Status send_idle_watermark(TimeMicros tick_wm);
-  void handle_disconnect();
-  void maybe_reconnect();
-  /// Enqueues one frame into the outbox and pumps; on Errc::buffer_full
-  /// falls back to a bounded blocking flush (the relay's backpressure).
-  Status send_frame(ByteSpan payload);
-  /// (Re)subscribes the current socket fd with readable[|writable per the
-  /// outbox state]; drops any watch on a previous fd.
-  void watch_socket();
-  void unwatch_socket();
-  /// Toggles the writable half of the subscription to match the outbox.
-  void update_write_interest();
 
   RelayConfig config_;
-  clk::Clock& clock_;
-  net::TcpSocket socket_;
-  net::FrameReader frame_reader_;
-  net::FrameSendBuffer outbox_;
   SpscQueue<sensors::Record> queue_;
   tp::UpstreamLink link_;
+  tp::UpstreamClient client_;
   tp::RelayBatchBuilder builder_;
-  tp::ReconnectSchedule reconnect_;
   /// Egress-thread state (mutated under link_mutex_; stats() reads it there).
   RelayAggregator aggregator_;
-  std::atomic<metrics::FlightRecorder*> flight_{nullptr};
 
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> drained_{false};
-  std::atomic<bool> connected_{false};
-  std::atomic<TimeMicros> correction_{0};
   /// Pipeline release watermark (relay timebase), stored by tick().
   std::atomic<TimeMicros> tick_watermark_{INT64_MIN};
 
   // --- egress-thread state ----------------------------------------------------
-  /// Readiness wait for the egress thread (created on that thread in run();
-  /// connect()-time sends happen before it exists and just skip the watch).
-  std::unique_ptr<net::Poller> poller_;
-  int watched_fd_ = -1;         // fd currently registered with poller_
-  bool want_writable_ = false;  // writable half of the subscription
   /// Monotone high-water of every watermark sent (parent timebase).
   TimeMicros wm_out_ = INT64_MIN;
   /// Timestamp (parent timebase) of the last record added to the builder.
   TimeMicros last_record_ts_ = INT64_MIN;
   TimeMicros batch_started_at_ = 0;  // monotonic, 0 = builder empty
-  TimeMicros last_tx_us_ = 0;        // monotonic, any outbound frame
   TimeMicros last_wm_tx_us_ = 0;     // monotonic, last watermark shipped
 
   // --- counters (egress thread writes, stats() reads) -------------------------
   std::atomic<std::uint64_t> records_forwarded_{0};
   std::atomic<std::uint64_t> batches_sent_{0};
   std::atomic<std::uint64_t> queue_stalls_{0};
-  std::atomic<std::uint64_t> sync_polls_answered_{0};
-  std::atomic<std::uint64_t> sync_adjustments_{0};
-  std::atomic<std::uint64_t> reconnects_{0};
   /// Serializes egress-thread cycles against stats() link snapshots and
   /// drain()'s final BYE.
   mutable std::mutex link_mutex_;

@@ -1,16 +1,11 @@
 #include "lis/external_sensor.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 
 #include "common/logging.hpp"
 #include "common/time_util.hpp"
 #include "sensors/record_codec.hpp"
-#include "tp/wire.hpp"
-#include "xdr/xdr_decoder.hpp"
-#include "xdr/xdr_encoder.hpp"
 
 namespace brisk::lis {
 
@@ -29,7 +24,6 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
     : config_(config),
       rings_(rings),
       clock_(clock),
-      sink_(sink),
       batcher_(config, clock,
                [this](ByteBuffer payload) { return link_.ship_batch(std::move(payload)); }),
       link_(make_link_config(config), clock, std::move(sink)),
@@ -81,6 +75,7 @@ Result<std::size_t> ExsCore::drain_rings() {
   drain_interval_us_ = loop_wakeups_ > 0 ? now - last_drain_at_ : 0;
   last_drain_at_ = now;
   ++loop_wakeups_;
+  const TimeMicros correction = link_.correction();
   std::size_t drained = 0;
   const std::uint32_t slots = rings_.claimed_slots();
   // Round-robin across slots so one chatty producer cannot starve others.
@@ -102,7 +97,7 @@ Result<std::size_t> ExsCore::drain_rings() {
       }
       batcher_.set_ring_dropped_total(rings_.total_stats().dropped);
       Status st = batcher_.add_native_record(
-          ByteSpan{drain_scratch_.data(), drain_scratch_.size()}, correction_);
+          ByteSpan{drain_scratch_.data(), drain_scratch_.size()}, correction);
       if (!st) {
         ++transcode_errors_;
         BRISK_LOG_WARN << "EXS transcode failed: " << st.to_string();
@@ -139,37 +134,8 @@ TimeMicros ExsCore::next_wait_us(TimeMicros now) const noexcept {
   return wait;
 }
 
-Status ExsCore::handle_frame(ByteSpan payload) {
-  xdr::Decoder decoder(payload);
-  auto type = tp::peek_type(decoder);
-  if (!type) return type.status();
-  switch (type.value()) {
-    case tp::MsgType::time_req: {
-      auto req = tp::decode_time_req(decoder);
-      if (!req) return req.status();
-      ByteBuffer out;
-      xdr::Encoder enc(out);
-      tp::put_type(tp::MsgType::time_resp, enc);
-      tp::encode_time_resp({req.value().request_id, corrected_now()}, enc);
-      ++sync_polls_answered_;
-      return sink_(std::move(out));
-    }
-    case tp::MsgType::adjust: {
-      auto adj = tp::decode_adjust(decoder);
-      if (!adj) return adj.status();
-      correction_ += adj.value().delta;
-      ++sync_adjustments_;
-      return Status::ok();
-    }
-    default:
-      if (tp::UpstreamLink::owns_frame(type.value())) {
-        return link_.handle_frame(type.value(), decoder);
-      }
-      return Status(Errc::malformed, "unexpected message type at EXS");
-  }
-}
-
 Status ExsCore::emit_metrics() {
+  const TimeMicros correction = link_.correction();
   const auto samples = metrics_.snapshot();
   auto records = metrics::snapshot_to_records(samples, config_.node, clock_.now(),
                                               metrics_sequence_);
@@ -182,7 +148,7 @@ Status ExsCore::emit_metrics() {
     }
     // Through the batcher like any drained ring record: same correction,
     // same batching, same replay coverage across reconnects.
-    Status st = batcher_.add_native_record(native.value(), correction_);
+    Status st = batcher_.add_native_record(native.value(), correction);
     if (!st) return st;
     ++records_forwarded_;
   }
@@ -196,7 +162,7 @@ Status ExsCore::emit_metrics() {
       ++transcode_errors_;
       continue;
     }
-    Status st = batcher_.add_native_record(native.value(), correction_);
+    Status st = batcher_.add_native_record(native.value(), correction);
     if (!st) return st;
     ++records_forwarded_;
   }
@@ -211,9 +177,9 @@ ExsStats ExsCore::stats() const noexcept {
   s.bytes_sent = batcher_.bytes_sent();
   s.ring_drops_seen = const_cast<shm::MultiRing&>(rings_).total_stats().dropped;
   s.transcode_errors = transcode_errors_;
-  s.sync_polls_answered = sync_polls_answered_;
-  s.sync_adjustments = sync_adjustments_;
-  s.correction_us = correction_;
+  s.sync_polls_answered = link.sync_polls_answered;
+  s.sync_adjustments = link.sync_adjustments;
+  s.correction_us = link_.correction();
   s.loop_wakeups = loop_wakeups_;
   s.burst_limited_drains = burst_limited_drains_;
   s.reconnects = link.reconnects;
@@ -234,23 +200,42 @@ ExsStats ExsCore::stats() const noexcept {
 
 namespace {
 
-tp::ReconnectConfig make_reconnect_config(const ExsConfig& config) {
-  tp::ReconnectConfig reconnect;
-  reconnect.backoff_base_us = config.reconnect_backoff_base_us;
-  reconnect.backoff_cap_us = config.reconnect_backoff_cap_us;
-  reconnect.jitter = config.reconnect_jitter;
-  reconnect.max_attempts = config.max_reconnect_attempts;
-  return reconnect;
+tp::ClientConfig make_client_config(const ExsConfig& config, const std::string& ism_host,
+                                    std::uint16_t ism_port) {
+  tp::ClientConfig client;
+  client.host = ism_host;
+  client.port = ism_port;
+  client.poller = config.poller;
+  client.outbox_bytes = config.outbox_bytes;
+  client.send_stall_timeout_us = config.send_stall_timeout_us;
+  client.heartbeat_period_us = config.heartbeat_period_us;
+  client.silence_timeout_us = config.ism_silence_timeout_us;
+  client.reconnect.backoff_base_us = config.reconnect_backoff_base_us;
+  client.reconnect.backoff_cap_us = config.reconnect_backoff_cap_us;
+  client.reconnect.jitter = config.reconnect_jitter;
+  client.reconnect.max_attempts = config.max_reconnect_attempts;
+  client.log_name = "EXS node " + std::to_string(config.node);
+  return client;
 }
 
 }  // namespace
 
-ExternalSensor::ExternalSensor(const ExsConfig& config, net::TcpSocket socket)
+ExternalSensor::ExternalSensor(const ExsConfig& config, shm::MultiRing rings,
+                               clk::Clock& clock, const std::string& ism_host,
+                               std::uint16_t ism_port)
     : config_(config),
-      socket_(std::move(socket)),
-      outbox_(config.outbox_bytes),
-      loop_(net::make_poller(config.poller)),
-      reconnect_(make_reconnect_config(config), config.node ^ config.incarnation) {}
+      core_(std::make_unique<ExsCore>(config, rings, clock,
+                                      [this](ByteBuffer payload) {
+                                        // Transport loss is survived by the
+                                        // reconnect loop; the caller
+                                        // (drain/flush) must not treat it as
+                                        // a fatal error.
+                                        (void)client_.send(payload.view());
+                                        return Status::ok();
+                                      })),
+      client_(make_client_config(config, ism_host, ism_port), core_->link()) {
+  client_.set_flight_recorder(&core_->flight());
+}
 
 Result<std::unique_ptr<ExternalSensor>> ExternalSensor::connect(
     const ExsConfig& config, shm::MultiRing rings, clk::Clock& clock,
@@ -258,201 +243,28 @@ Result<std::unique_ptr<ExternalSensor>> ExternalSensor::connect(
   Status valid = config.validate();
   if (!valid) return valid;
   ExsConfig effective = config;
-  if (effective.incarnation == 0) {
-    // One process lifetime = one incarnation; lets the ISM tell a reconnect
-    // of the same EXS (resume the batch_seq cursor) from a restarted one
-    // (start over at zero).
-    effective.incarnation =
-        (static_cast<std::uint64_t>(::getpid()) << 32) ^
-        static_cast<std::uint64_t>(monotonic_micros());
-    if (effective.incarnation == 0) effective.incarnation = 1;
-  }
-  auto socket = net::TcpSocket::connect(ism_host, ism_port);
-  if (!socket) return socket.status();
-  Status st = socket.value().set_nodelay(true);
-  if (!st) return st;
-
+  if (effective.incarnation == 0) effective.incarnation = tp::derive_incarnation();
   auto exs = std::unique_ptr<ExternalSensor>(
-      new ExternalSensor(effective, std::move(socket).value()));
+      new ExternalSensor(effective, rings, clock, ism_host, ism_port));
+  Status st = exs->client_.connect();
+  if (!st) return st;
   ExternalSensor* raw = exs.get();
-  exs->ism_host_ = ism_host;
-  exs->ism_port_ = ism_port;
-  exs->connected_ = true;
-  exs->last_rx_us_ = monotonic_micros();
-  exs->core_ = std::make_unique<ExsCore>(
-      effective, rings, clock, [raw](ByteBuffer payload) {
-        if (!raw->connected_) return Status::ok();  // link down: replay covers it
-        Status wr = raw->write_out(payload.view());
-        if (!wr) raw->handle_disconnect();
-        // Transport loss is survived by the reconnect loop; the caller
-        // (drain/flush) must not treat it as a fatal error.
-        return Status::ok();
-      });
-  st = exs->core_->send_hello();
-  if (!st) return st;
-  if (!exs->connected_) return Status(Errc::closed, "ISM connection lost during hello");
-
-  st = exs->socket_.set_nonblocking(true);
-  if (!st) return st;
-  st = exs->watch_socket();
-  if (!st) return st;
-  exs->loop_->set_idle([raw] {
+  exs->client_.poller().set_idle([raw] {
     Status cy = raw->cycle();
     if (!cy) {
       BRISK_LOG_ERROR << "EXS cycle failed: " << cy.to_string();
-      raw->loop_->stop();
+      raw->stop();
     }
   });
   return exs;
 }
 
-Status ExternalSensor::watch_socket() {
-  net::Readiness interest = net::Readiness::readable;
-  if (want_writable_) interest = interest | net::Readiness::writable;
-  return loop_->watch(socket_.fd(), interest, [this](int, net::Readiness ready) {
-    if (any(ready & net::Readiness::writable)) {
-      // The kernel buffer drained: flush deferred frames, then drop the
-      // writable subscription once the outbox is empty again.
-      Status flushed = outbox_.pump(socket_);
-      if (!flushed) {
-        BRISK_LOG_WARN << "EXS node " << config_.node
-                       << ": outbox flush failed: " << flushed.to_string();
-        handle_disconnect();
-        return;
-      }
-      if (outbox_.empty()) last_tx_us_ = monotonic_micros();
-      update_write_interest();
-    }
-    if (!any(ready & net::Readiness::readable)) return;
-    Status pump = pump_socket();
-    if (!pump && pump.code() != Errc::would_block) {
-      if (core_->saw_bye()) {
-        peer_closed_ = true;
-        loop_->stop();
-      } else {
-        BRISK_LOG_WARN << "EXS node " << config_.node
-                       << ": ISM link error: " << pump.to_string();
-        handle_disconnect();
-      }
-    }
-  });
-}
-
-Status ExternalSensor::write_out(ByteSpan frame) {
-  Status st = fault_.write_frame(socket_, outbox_, frame);
-  if (st.code() == Errc::buffer_full) {
-    // The outbox itself is at its cap: the ISM has stopped reading well
-    // past one kernel buffer of data. Block here — bounded — so ring
-    // backpressure (and, with credits off, the stage-6 stall semantics)
-    // is preserved; past the deadline the link counts as lost.
-    const TimeMicros deadline = monotonic_micros() + config_.send_stall_timeout_us;
-    core_->flight().record(sensors::EventKind::watermark_stall, config_.node,
-                           outbox_.pending_bytes(), core_->corrected_now());
-    for (;;) {
-      Status pumped = outbox_.pump(socket_);
-      if (!pumped) {
-        update_write_interest();
-        return pumped;
-      }
-      // The fault decision for this frame already ran above; the retry
-      // enqueues the surviving payload directly.
-      st = outbox_.enqueue_frame(frame);
-      if (st.code() != Errc::buffer_full) break;
-      if (monotonic_micros() >= deadline) {
-        update_write_interest();
-        return Status(Errc::timeout, "EXS outbox wedged past send stall timeout");
-      }
-      sleep_micros(1'000);
-    }
-    if (st) st = outbox_.pump(socket_);
-  }
-  if (st) last_tx_us_ = monotonic_micros();
-  update_write_interest();
-  return st;
-}
-
-void ExternalSensor::update_write_interest() {
-  const bool want = !outbox_.empty();
-  if (want == want_writable_ || !connected_ || !socket_.valid()) return;
-  want_writable_ = want;
-  Status st = watch_socket();  // upsert with the new interest mask
-  if (!st && want) want_writable_ = false;  // cycle()'s flush is the fallback
-}
-
-Status ExternalSensor::pump_socket() {
-  std::uint8_t chunk[16 * 1024];
-  for (;;) {
-    auto n = socket_.read_some(MutableByteSpan{chunk, sizeof chunk});
-    if (!n) {
-      if (n.status().code() == Errc::would_block) return Status::ok();
-      return n.status();
-    }
-    if (n.value() == 0) return Status(Errc::closed, "ISM closed connection");
-    last_rx_us_ = monotonic_micros();
-    frame_reader_.feed(ByteSpan{chunk, n.value()});
-    for (;;) {
-      auto frame = frame_reader_.next();
-      if (!frame) return frame.status();
-      if (!frame.value().has_value()) break;
-      Status st = core_->handle_frame(frame.value()->view());
-      if (!st) return st;
-    }
-  }
-}
-
-void ExternalSensor::handle_disconnect() {
-  if (!connected_) return;
-  connected_ = false;
-  if (socket_.valid()) {
-    (void)loop_->unwatch(socket_.fd());
-    socket_.close();
-  }
-  frame_reader_ = net::FrameReader{};
-  // Deferred frames die with the connection; replay re-ships what matters.
-  outbox_ = net::FrameSendBuffer(config_.outbox_bytes);
-  want_writable_ = false;
-  core_->on_disconnect();
-  reconnect_.arm(monotonic_micros());  // first retry on the next cycle
-  BRISK_LOG_WARN << "EXS node " << config_.node
-                 << ": lost ISM connection, entering reconnect";
-}
-
-void ExternalSensor::maybe_reconnect() {
-  if (!reconnect_.due(monotonic_micros())) return;
-  auto socket = net::TcpSocket::connect(ism_host_, ism_port_);
-  if (socket) {
-    net::TcpSocket fresh = std::move(socket).value();
-    Status st = fresh.set_nodelay(true);
-    if (st) st = fresh.set_nonblocking(true);
-    if (st) {
-      socket_ = std::move(fresh);
-      st = watch_socket();
-      if (st) {
-        connected_ = true;
-        reconnect_.record_success();
-        last_rx_us_ = monotonic_micros();
-        ++reconnects_;
-        core_->flight().record(sensors::EventKind::reconnect, config_.node, reconnects_,
-                               core_->corrected_now());
-        BRISK_LOG_INFO << "EXS node " << config_.node << ": reconnected to ISM";
-        // Re-hello; the HELLO_ACK cursor triggers replay of unacked batches.
-        (void)core_->on_reconnected();
-        return;
-      }
-      (void)loop_->unwatch(socket_.fd());
-      socket_.close();
-    }
-  }
-  if (!reconnect_.record_failure(monotonic_micros())) {
-    BRISK_LOG_ERROR << "EXS node " << config_.node << ": giving up after "
-                    << reconnect_.failed_attempts() << " reconnect attempts";
-    loop_->stop();
-  }
-}
-
 Status ExternalSensor::cycle() {
   if (metrics::consume_flight_dump_request()) metrics::dump_flight_recorders(stderr);
-  if (!connected_ && !loop_->stopped()) maybe_reconnect();
+  if (!client_.service()) {
+    stop();  // the ISM said BYE, or the reconnect budget is spent
+    return Status::ok();
+  }
   // Rings keep draining while the link is down: records flow into batches
   // and batches into the bounded replay buffer, whose evictions (if any)
   // are the declared loss.
@@ -460,12 +272,8 @@ Status ExternalSensor::cycle() {
   if (!drained) return drained.status();
   Status st = core_->maybe_flush();
   if (!st) return st;
-  const TimeMicros now = monotonic_micros();
-  if (connected_ && config_.heartbeat_period_us > 0 &&
-      now - last_tx_us_ >= config_.heartbeat_period_us) {
-    (void)core_->send_heartbeat();
-  }
   if (config_.metrics_interval_us > 0) {
+    const TimeMicros now = monotonic_micros();
     if (last_metrics_us_ == 0) {
       last_metrics_us_ = now;  // baseline: first snapshot one interval in
     } else if (now - last_metrics_us_ >= config_.metrics_interval_us) {
@@ -474,29 +282,25 @@ Status ExternalSensor::cycle() {
       if (!em) return em;
     }
   }
-  if (connected_ && config_.ism_silence_timeout_us > 0 &&
-      now - last_rx_us_ > config_.ism_silence_timeout_us) {
-    BRISK_LOG_WARN << "EXS node " << config_.node
-                   << ": ISM silent past timeout, dropping half-open link";
-    handle_disconnect();
-  }
   return Status::ok();
 }
 
 Status ExternalSensor::run() {
-  while (!loop_->stopped()) {
-    auto polled = loop_->poll_once(core_->next_wait_us(core_->clock().now()));
+  net::Poller& loop = client_.poller();
+  while (!loop.stopped()) {
+    auto polled = loop.poll_once(core_->next_wait_us(core_->clock().now()));
     if (!polled) return polled.status();
   }
   return Status::ok();
 }
 
 Status ExternalSensor::run_for(TimeMicros duration) {
+  net::Poller& loop = client_.poller();
   const TimeMicros deadline = monotonic_micros() + duration;
-  while (monotonic_micros() < deadline && !loop_->stopped() && !peer_closed_) {
+  while (monotonic_micros() < deadline && !loop.stopped()) {
     const TimeMicros wait = std::min(core_->next_wait_us(core_->clock().now()),
                                      deadline - monotonic_micros());
-    auto polled = loop_->poll_once(wait);
+    auto polled = loop.poll_once(wait);
     if (!polled) return polled.status();
   }
   return Status::ok();

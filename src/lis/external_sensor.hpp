@@ -6,17 +6,17 @@
 // data to the ISM."
 //
 // Split in two layers:
-//  * ExsCore — the node-side protocol logic, deterministic and socket-free:
-//    drains rings, applies the clock correction, batches, answers sync
-//    polls, and folds ADJUST deltas into the correction value. The session
-//    machinery (HELLO/HELLO_ACK/BATCH_ACK, go-back-N replay, credit
-//    pacing) lives in the shared tp::UpstreamLink — the same link a relay
-//    ISM uses toward its parent. Tests drive the core directly.
-//  * ExternalSensor — binds ExsCore to a real TCP connection and the
-//    select() loop, and owns connection survival: when the link to the ISM
-//    dies it reconnects on a tp::ReconnectSchedule (exponential backoff +
-//    jitter) while the core keeps draining rings into the bounded replay
-//    buffer. This is what the brisk_exs executable runs.
+//  * ExsCore — the node-side logic, deterministic and socket-free: drains
+//    rings, applies the clock correction, batches, and ships self-metrics.
+//    The session and clock-sync protocol (HELLO/HELLO_ACK/BATCH_ACK,
+//    go-back-N replay, credit pacing, TIME_REQ/ADJUST) lives in the shared
+//    tp::UpstreamLink — the same link a relay ISM uses toward its parent.
+//    Tests drive the core directly.
+//  * ExternalSensor — binds ExsCore to the ISM through a tp::UpstreamClient
+//    (the socket, outbox, reconnect schedule, heartbeat and silence
+//    timeout, shared with the relay egress) and runs the poller loop. While
+//    the link is down the core keeps draining rings into the bounded
+//    replay buffer. This is what the brisk_exs executable runs.
 #pragma once
 
 #include <functional>
@@ -28,11 +28,8 @@
 #include "metrics/flight_recorder.hpp"
 #include "metrics/metrics.hpp"
 #include "lis/exs_config.hpp"
-#include "net/faulty_socket.hpp"
-#include "net/frame.hpp"
-#include "net/poller.hpp"
-#include "net/socket.hpp"
 #include "shm/multi_ring.hpp"
+#include "tp/upstream_client.hpp"
 #include "tp/upstream_link.hpp"
 #include "tp/wire.hpp"
 
@@ -73,15 +70,11 @@ class ExsCore {
   Status maybe_flush() { return batcher_.maybe_flush(); }
   Status flush() { return batcher_.flush(); }
 
-  /// Handles one frame from the ISM (TIME_REQ, ADJUST, HELLO_ACK,
-  /// BATCH_ACK, HEARTBEAT, BYE). Returns Errc::closed for BYE.
-  Status handle_frame(ByteSpan payload);
+  /// Handles one frame from the ISM; see tp::UpstreamLink::handle_frame.
+  Status handle_frame(ByteSpan payload) { return link_.handle_frame(payload); }
 
   /// Opens (or re-opens) the session; see tp::UpstreamLink::send_hello.
   Status send_hello() { return link_.send_hello(); }
-
-  /// Sends a liveness heartbeat (empty body).
-  Status send_heartbeat() { return link_.send_heartbeat(); }
 
   /// Snapshots the metrics registry into reserved-sensor-id records and
   /// feeds them through the batcher — metrics ship in-band, exactly like
@@ -92,13 +85,9 @@ class ExsCore {
   void on_disconnect() noexcept { link_.on_disconnect(); }
   Status on_reconnected() { return link_.on_reconnected(); }
 
-  /// The clock correction the sync protocol has accumulated; added to every
-  /// record timestamp on its way out ("the raw local time ... is added to a
-  /// correction value maintained by the EXS, before sending the record to
-  /// the ISM").
-  [[nodiscard]] TimeMicros correction() const noexcept { return correction_; }
-  /// The node clock as the sync protocol sees it (raw + correction).
-  [[nodiscard]] TimeMicros corrected_now() noexcept { return clock_.now() + correction_; }
+  /// The clock correction the sync protocol has accumulated; see
+  /// tp::UpstreamLink::correction.
+  [[nodiscard]] TimeMicros correction() const noexcept { return link_.correction(); }
 
   /// True once the ISM sent BYE (clean shutdown, not a link failure).
   [[nodiscard]] bool saw_bye() const noexcept { return link_.saw_bye(); }
@@ -133,15 +122,11 @@ class ExsCore {
   ExsConfig config_;
   shm::MultiRing rings_;
   clk::Clock& clock_;
-  FrameSink sink_;
   Batcher batcher_;
   tp::UpstreamLink link_;
   std::uint32_t largest_grant_records_ = 0;  // the batch cap; see the window observer
-  TimeMicros correction_ = 0;
   std::uint64_t records_forwarded_ = 0;
   std::uint64_t transcode_errors_ = 0;
-  std::uint64_t sync_polls_answered_ = 0;
-  std::uint64_t sync_adjustments_ = 0;
   // The last drain pass, for next_wait_us().
   TimeMicros last_drain_at_ = 0;
   TimeMicros drain_interval_us_ = 0;  // between the last two passes
@@ -167,58 +152,41 @@ class ExternalSensor {
                                                          const std::string& ism_host,
                                                          std::uint16_t ism_port);
 
-  /// Runs the select() loop until `stop()`, an ISM BYE, or (when
+  /// Runs the poller loop until `stop()`, an ISM BYE, or (when
   /// max_reconnect_attempts > 0) the reconnect budget is exhausted. Each
-  /// cycle: handle inbound frames, drain rings, flush aged batches, send
-  /// heartbeats, and drive the reconnect schedule while the link is down.
-  /// Each wait lasts ExsCore::next_wait_us — until the next batch is due.
+  /// cycle: service the upstream client (reconnect, inbound frames,
+  /// heartbeat, silence timeout), drain rings, flush aged batches, and
+  /// emit metrics. Each wait lasts ExsCore::next_wait_us — until the next
+  /// batch is due.
   Status run();
   /// Runs for at most `duration` (monotonic) under the same wait rule; for
   /// tests and benches.
   Status run_for(TimeMicros duration);
-  void stop() noexcept { loop_->stop(); }
+  void stop() noexcept { client_.poller().stop(); }
 
   /// Installs a frame-level fault policy on the outbound path (tests and
   /// the --fault-* flags of brisk_exs). Must be set before run().
-  void set_fault_policy(net::FaultPolicy policy) { fault_.set_policy(std::move(policy)); }
-  [[nodiscard]] const net::FaultStats& fault_stats() const noexcept { return fault_.stats(); }
+  void set_fault_policy(net::FaultPolicy policy) { client_.set_fault_policy(std::move(policy)); }
+  [[nodiscard]] const net::FaultStats& fault_stats() const noexcept {
+    return client_.fault_stats();
+  }
 
-  [[nodiscard]] bool connected() const noexcept { return connected_; }
-  [[nodiscard]] std::uint64_t reconnects() const noexcept { return reconnects_; }
+  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
+  [[nodiscard]] std::uint64_t reconnects() const noexcept {
+    return core_->link().stats().reconnects;
+  }
   [[nodiscard]] ExsCore& core() noexcept { return *core_; }
 
  private:
-  ExternalSensor(const ExsConfig& config, net::TcpSocket socket);
+  ExternalSensor(const ExsConfig& config, shm::MultiRing rings, clk::Clock& clock,
+                 const std::string& ism_host, std::uint16_t ism_port);
 
   Status cycle();
-  Status pump_socket();
-  Status watch_socket();
-  Status write_out(ByteSpan frame);
-  /// Reconciles the socket's poller subscription with the outbox: writable
-  /// interest only while deferred bytes remain (want-writable toggling).
-  void update_write_interest();
-  void handle_disconnect();
-  void maybe_reconnect();
 
   ExsConfig config_;
-  net::TcpSocket socket_;
-  net::FaultySocket fault_;
-  net::FrameReader frame_reader_;
-  /// Outbound frames deferred by a full kernel send buffer; drained on
-  /// writable readiness so a slow ISM never blocks the daemon mid-frame.
-  net::FrameSendBuffer outbox_;
-  bool want_writable_ = false;
-  std::unique_ptr<net::Poller> loop_;
   std::unique_ptr<ExsCore> core_;
-  std::string ism_host_;
-  std::uint16_t ism_port_ = 0;
-  bool connected_ = false;
-  bool peer_closed_ = false;  // BYE received: clean shutdown, no reconnect
-  tp::ReconnectSchedule reconnect_;
-  TimeMicros last_rx_us_ = 0;       // monotonic, any inbound bytes
-  TimeMicros last_tx_us_ = 0;       // monotonic, any outbound frame
+  tp::UpstreamClient client_;
   TimeMicros last_metrics_us_ = 0;  // monotonic, last metrics snapshot
-  std::uint64_t reconnects_ = 0;
 };
 
 }  // namespace brisk::lis

@@ -1,6 +1,12 @@
 #include "tp/upstream_link.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+
+#include "common/time_util.hpp"
+#include "xdr/xdr_decoder.hpp"
+#include "xdr/xdr_encoder.hpp"
 
 namespace brisk::tp {
 
@@ -177,20 +183,30 @@ void UpstreamLink::apply_credit(const std::optional<CreditGrant>& credit) {
   if (window_observer_) window_observer_(window_records_, window_bytes_);
 }
 
-bool UpstreamLink::owns_frame(MsgType type) noexcept {
-  switch (type) {
-    case MsgType::hello_ack:
-    case MsgType::batch_ack:
-    case MsgType::heartbeat:
-    case MsgType::bye:
-      return true;
-    default:
-      return false;
-  }
-}
-
-Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
-  switch (type) {
+Status UpstreamLink::handle_frame(ByteSpan payload) {
+  xdr::Decoder decoder(payload);
+  auto type = peek_type(decoder);
+  if (!type) return type.status();
+  switch (type.value()) {
+    case MsgType::time_req: {
+      // The sync master polls every peer alike; a relay answers in its
+      // parent-relative timebase exactly as an EXS answers in its node's.
+      auto req = decode_time_req(decoder);
+      if (!req) return req.status();
+      ByteBuffer out;
+      xdr::Encoder enc(out);
+      put_type(MsgType::time_resp, enc);
+      encode_time_resp({req.value().request_id, corrected_now()}, enc);
+      ++sync_polls_answered_;
+      return sink_(std::move(out));
+    }
+    case MsgType::adjust: {
+      auto adj = decode_adjust(decoder);
+      if (!adj) return adj.status();
+      correction_.fetch_add(adj.value().delta, std::memory_order_relaxed);
+      ++sync_adjustments_;
+      return Status::ok();
+    }
     case MsgType::hello_ack: {
       auto ack = decode_hello_ack(decoder);
       if (!ack) return ack.status();
@@ -244,7 +260,7 @@ Status UpstreamLink::handle_frame(MsgType type, xdr::Decoder& decoder) {
       saw_bye_ = true;
       return Status(Errc::closed, "peer said bye");
     default:
-      return Status(Errc::malformed, "frame type not owned by the upstream link");
+      return Status(Errc::malformed, "unexpected message type on an upstream link");
   }
 }
 
@@ -275,11 +291,19 @@ LinkStats UpstreamLink::stats() const noexcept {
   s.paced_batches = paced_batches_;
   s.credit_stalled_us = credit_stalled_us_;
   s.credit_active = credit_active_;
+  s.sync_polls_answered = sync_polls_answered_;
+  s.sync_adjustments = sync_adjustments_;
   if (credit_active_) {
     s.credit_window_records = window_records_;
     s.credit_window_bytes = window_bytes_;
   }
   return s;
+}
+
+std::uint64_t derive_incarnation() noexcept {
+  const std::uint64_t incarnation = (static_cast<std::uint64_t>(::getpid()) << 32) ^
+                                    static_cast<std::uint64_t>(monotonic_micros());
+  return incarnation == 0 ? 1 : incarnation;
 }
 
 // ---- reconnect schedule -----------------------------------------------------

@@ -1,8 +1,7 @@
-// The upstream half of a TP client: everything a peer needs to ship ordered
-// batches to an ISM and survive the link.
+// The session half of a TP client: everything a peer needs to ship ordered
+// batches to an ISM and stay in its timebase, with no socket in sight.
 //
-// Extracted from lis::ExternalSensor so the machinery has exactly one
-// implementation with two users:
+// Two users, one implementation:
 //  * the EXS daemon (lis::ExsCore wires its batcher's output here), and
 //  * a relay ISM's egress (ism::RelayEgress re-batches its post-merge
 //    stream onto the same link, making the relay "EXS-shaped" to its
@@ -10,14 +9,15 @@
 //
 // The link owns: the HELLO/HELLO_ACK session handshake (including the
 // capability word), the bounded go-back-N ReplayBuffer, cumulative
-// BATCH_ACK processing with stuck-cursor resend detection, and the
-// credit-window pacer (protocol v3). It is socket-free: frames leave
-// through a FrameSink callback and arrive through handle_frame(), so the
-// same code runs under a select() loop, a dedicated egress thread, or a
-// test harness. Clock concerns (TIME_REQ/ADJUST) deliberately stay with
-// the caller — the EXS and a relay fold corrections differently.
+// BATCH_ACK processing with stuck-cursor resend detection, the
+// credit-window pacer (protocol v3), and the clock-sync slave: it answers
+// the sync master's TIME_REQ polls with `now + correction` and folds each
+// ADJUST delta into that correction. Frames leave through a FrameSink
+// callback and arrive through handle_frame(), so the same code runs under
+// a daemon's tp::UpstreamClient (the socket half) or a test harness.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <random>
@@ -27,7 +27,6 @@
 #include "common/error.hpp"
 #include "tp/replay_buffer.hpp"
 #include "tp/wire.hpp"
-#include "xdr/xdr_decoder.hpp"
 
 namespace brisk::tp {
 
@@ -56,6 +55,8 @@ struct LinkStats {
   std::uint64_t paced_batches = 0;
   TimeMicros credit_stalled_us = 0;
   bool credit_active = false;
+  std::uint64_t sync_polls_answered = 0;
+  std::uint64_t sync_adjustments = 0;
   std::uint32_t credit_window_records = 0;  // meaningful when credit_active
   std::uint64_t credit_window_bytes = 0;
 };
@@ -92,11 +93,20 @@ class UpstreamLink {
   /// order.
   Status ship_batch(ByteBuffer payload);
 
-  /// True for message types the link consumes (acks, heartbeat, bye).
-  [[nodiscard]] static bool owns_frame(MsgType type) noexcept;
-  /// Handles one link-owned frame body (type word already consumed).
-  /// Returns Errc::closed for BYE.
-  Status handle_frame(MsgType type, xdr::Decoder& decoder);
+  /// Handles one frame from the upstream ISM (TIME_REQ, ADJUST, HELLO_ACK,
+  /// BATCH_ACK, HEARTBEAT, BYE). Returns Errc::closed for BYE and
+  /// Errc::malformed for any other message type.
+  Status handle_frame(ByteSpan payload);
+
+  /// The clock correction the sync protocol has accumulated; added to every
+  /// record timestamp on its way out ("the raw local time ... is added to a
+  /// correction value maintained by the EXS, before sending the record to
+  /// the ISM"). Readable from any thread.
+  [[nodiscard]] TimeMicros correction() const noexcept {
+    return correction_.load(std::memory_order_relaxed);
+  }
+  /// The node clock as the sync protocol sees it (raw + correction).
+  [[nodiscard]] TimeMicros corrected_now() noexcept { return clock_.now() + correction(); }
 
   /// Transport notifications from the daemon layer: while the link is
   /// down, batches accumulate in the replay buffer instead of being handed
@@ -155,6 +165,10 @@ class UpstreamLink {
   std::uint64_t batches_replayed_ = 0;
   std::uint64_t heartbeats_sent_ = 0;
   std::uint64_t acks_received_ = 0;
+  // --- clock-sync slave --------------------------------------------------------
+  std::atomic<TimeMicros> correction_{0};
+  std::uint64_t sync_polls_answered_ = 0;
+  std::uint64_t sync_adjustments_ = 0;
   // --- credit-based flow control ---------------------------------------------
   /// True once a grant for this incarnation arrived and pacing applies.
   bool credit_active_ = false;
@@ -172,6 +186,12 @@ class UpstreamLink {
   TimeMicros stall_started_at_ = 0;  // node-clock time, 0 = not stalled
 };
 
+/// A fresh session incarnation: pid ⊕ monotonic clock, never zero. One
+/// process lifetime is one incarnation, which lets the ISM tell a reconnect
+/// of the same peer (resume the batch_seq cursor) from a restarted one
+/// (start over at zero).
+[[nodiscard]] std::uint64_t derive_incarnation() noexcept;
+
 // ---- reconnect schedule -----------------------------------------------------
 
 struct ReconnectConfig {
@@ -183,9 +203,9 @@ struct ReconnectConfig {
   std::uint32_t max_attempts = 0;
 };
 
-/// Exponential-backoff reconnect pacing with deterministic jitter, shared
-/// by the EXS daemon loop and the relay egress thread. The schedule only
-/// decides *when* to try; the caller owns the actual connect.
+/// Exponential-backoff reconnect pacing with deterministic jitter; the
+/// tp::UpstreamClient's. The schedule only decides *when* to try; the
+/// client owns the actual connect.
 class ReconnectSchedule {
  public:
   ReconnectSchedule(const ReconnectConfig& config, std::uint64_t seed)
@@ -207,6 +227,8 @@ class ReconnectSchedule {
   bool record_failure(TimeMicros now);
 
   [[nodiscard]] std::uint32_t failed_attempts() const noexcept { return failed_attempts_; }
+  /// When the next attempt is due (monotonic).
+  [[nodiscard]] TimeMicros next_attempt_at() const noexcept { return next_attempt_at_; }
 
  private:
   [[nodiscard]] TimeMicros backoff_delay();

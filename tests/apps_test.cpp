@@ -191,6 +191,19 @@ TEST(AppsTest, BadOptionValuesExitTwo) {
       {"brisk_ism", {"--ism-credit-records", "-1"}, "--ism-credit-records"},
       {"brisk_ism", {"--ism-credit-records", "4294967296"}, "--ism-credit-records"},
       {"brisk_ism", {"--ism-credit-bytes", "-1"}, "--ism-credit-bytes"},
+      // Negative counts once wrapped to SIZE_MAX and spun forever sizing a
+      // queue; negative node ids wrapped to the reserved metrics node.
+      {"brisk_ism", {"--shard-queue-records", "-1", "--ism-sorter-shards", "2"},
+       "--shard-queue-records"},
+      {"brisk_ism", {"--consumer-lane-records", "-1", "--consumer-port", "0"},
+       "--consumer-lane-records"},
+      {"brisk_ism", {"--relay-queue-records", "-1", "--relay-to", "127.0.0.1:1"},
+       "--relay-queue-records"},
+      {"brisk_ism", {"--relay-node", "-1", "--relay-to", "127.0.0.1:1"}, "--relay-node"},
+      {"brisk_exs", {"--node", "-1", "--shm", "/brisk-apps-unused", "--ism-port", "1"},
+       "--node"},
+      {"brisk_exs", {"--node", "4294967295", "--shm", "/brisk-apps-unused", "--ism-port", "1"},
+       "--node"},
   };
   for (const Case& c : cases) {
     ChildProcess child = spawn(apps_dir + "/" + c.binary, c.args, STDERR_FILENO);

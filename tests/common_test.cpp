@@ -2,7 +2,9 @@
 // string utilities, time utilities, logging.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "common/byte_buffer.hpp"
@@ -320,6 +322,12 @@ TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
   SpscQueue<int> queue(5);
   EXPECT_EQ(queue.capacity(), 8u);
   EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
+}
+
+TEST(SpscQueueTest, CapacityPastLargestPowerOfTwoThrows) {
+  // A wrapped negative size (SIZE_MAX) once spun forever doubling toward it.
+  EXPECT_THROW(SpscQueue<int>(SIZE_MAX), std::length_error);
+  EXPECT_THROW(SpscQueue<int>((SIZE_MAX >> 1) + 2), std::length_error);
 }
 
 TEST(SpscQueueTest, PushPopRoundTrip) {

@@ -115,6 +115,38 @@ TEST(FlagParserDeathTest, DuplicateDeclarationExitsTwo) {
               "flag --port declared twice");
 }
 
+// Counts, sizes and node ids: a negative value or one past the target type
+// exits 2 naming the flag instead of wrapping (-1 as a uint32_t ring size is
+// a ~4 GiB region; -1 as a node id is the reserved metrics node).
+TEST(FlagParserDeathTest, CountOutOfRangeExitsTwo) {
+  auto read_count = [](std::vector<std::string> args) {
+    FlagRegistry flags("test_program", "counts");
+    flags.add_int("output-ring-bytes", 1 << 20, "ring size").add_int("node", 1, "node id");
+    Argv argv(std::move(args));
+    flags.parse(argv.argc(), argv.argv());
+    (void)flags.count<std::uint32_t>("output-ring-bytes");
+    (void)flags.node_id("node");
+    std::exit(0);
+  };
+  EXPECT_EXIT(read_count({"--output-ring-bytes", "-1"}), ::testing::ExitedWithCode(2),
+              "flag --output-ring-bytes must be in \\[0, 4294967295\\], got -1");
+  EXPECT_EXIT(read_count({"--output-ring-bytes", "4294967296"}), ::testing::ExitedWithCode(2),
+              "flag --output-ring-bytes must be in");
+  EXPECT_EXIT(read_count({"--node", "-1"}), ::testing::ExitedWithCode(2),
+              "flag --node must be in");
+  EXPECT_EXIT(read_count({"--node", "4294967295"}), ::testing::ExitedWithCode(2),
+              "flag --node must be in \\[0, 4294967294\\]");
+  EXPECT_EXIT(read_count({"--output-ring-bytes", "4294967295", "--node", "4294967294"}),
+              ::testing::ExitedWithCode(0), "");
+}
+
+TEST(FlagRegistryTest, CountReadsInRangeValues) {
+  Argv argv({"--port=0"});
+  FlagRegistry flags = make_registry();
+  flags.parse(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.count<std::uint16_t>("port"), 0u);
+}
+
 // Golden --help text: generated from the declarations, one line per flag,
 // with type and default. help_text() is what parse() prints before exit 0.
 TEST(FlagRegistryTest, HelpTextGolden) {

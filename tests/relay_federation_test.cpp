@@ -9,7 +9,9 @@
 // threaded readers x 1 and 4 sorter shards) and compares encoded records
 // byte for byte, including a cross-relay tachyon the root must repair.
 #include <gtest/gtest.h>
+#include <poll.h>
 
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "sensors/metrics_record.hpp"
 #include "tp/batch.hpp"
 #include "tp/wire.hpp"
+#include "xdr/xdr_decoder.hpp"
 #include "xdr/xdr_encoder.hpp"
 
 namespace brisk::ism {
@@ -198,11 +201,109 @@ std::vector<sensors::Record> run_flat(
   return log->snapshot();
 }
 
+/// Sits between a relay and its parent and loses the link once, mid-stream:
+/// on the first connection it forwards the relay's HELLO and the parent's
+/// replies, then swallows the relay's first RELAY_BATCH and closes both
+/// sides. The parent never sees that batch, so the relay must reconnect and
+/// replay it. Later connections pass through untouched.
+class LinkCutter {
+ public:
+  explicit LinkCutter(std::uint16_t parent_port) : parent_port_(parent_port) {
+    auto listener = net::TcpListener::listen(0);
+    EXPECT_TRUE(listener.is_ok()) << listener.status().to_string();
+    if (listener) listener_ = std::move(listener).value();
+    thread_ = std::thread([this] { run(); });
+  }
+  ~LinkCutter() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
+  [[nodiscard]] bool cut() const noexcept { return cut_.load(); }
+
+ private:
+  struct Link {
+    net::TcpSocket relay;
+    net::TcpSocket parent;
+    bool first = false;  // the connection to cut
+    net::FrameReader frames;
+  };
+
+  void run() {
+    std::vector<Link> links;
+    while (!stop_.load()) {
+      std::vector<pollfd> fds{{listener_.fd(), POLLIN, 0}};
+      for (const Link& link : links) {
+        fds.push_back({link.relay.fd(), POLLIN, 0});
+        fds.push_back({link.parent.fd(), POLLIN, 0});
+      }
+      if (::poll(fds.data(), fds.size(), 5) <= 0) continue;
+      const std::size_t polled = links.size();
+      if (fds[0].revents != 0) {
+        auto relay = listener_.accept();
+        auto parent = net::TcpSocket::connect("127.0.0.1", parent_port_);
+        if (relay && parent) {
+          links.push_back(
+              {std::move(relay).value(), std::move(parent).value(), !accepted_any_, {}});
+          accepted_any_ = true;
+        }
+      }
+      std::vector<Link> open;
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        bool alive = true;
+        if (i < polled && fds[1 + 2 * i].revents != 0) alive = forward_up(links[i]);
+        if (alive && i < polled && fds[2 + 2 * i].revents != 0) {
+          alive = copy(links[i].parent, links[i].relay);
+        }
+        if (alive) open.push_back(std::move(links[i]));  // else both sockets close
+      }
+      links = std::move(open);
+    }
+  }
+
+  /// Relay → parent. Returns false once the link is closed (or cut).
+  bool forward_up(Link& link) {
+    if (!link.first) return copy(link.relay, link.parent);
+    std::uint8_t chunk[16 * 1024];
+    auto n = link.relay.read_some(MutableByteSpan{chunk, sizeof chunk});
+    if (!n || n.value() == 0) return false;
+    link.frames.feed(ByteSpan{chunk, n.value()});
+    for (;;) {
+      auto frame = link.frames.next();
+      if (!frame || !frame.value().has_value()) return frame.is_ok();
+      xdr::Decoder decoder(frame.value()->view());
+      auto type = tp::peek_type(decoder);
+      if (type && type.value() == tp::MsgType::relay_batch) {
+        cut_.store(true);
+        return false;
+      }
+      if (!net::write_frame(link.parent, frame.value()->view())) return false;
+    }
+  }
+
+  static bool copy(net::TcpSocket& from, net::TcpSocket& to) {
+    std::uint8_t chunk[16 * 1024];
+    auto n = from.read_some(MutableByteSpan{chunk, sizeof chunk});
+    if (!n || n.value() == 0) return false;
+    return static_cast<bool>(to.write_all(ByteSpan{chunk, n.value()}));
+  }
+
+  std::uint16_t parent_port_;
+  net::TcpListener listener_;
+  bool accepted_any_ = false;
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> cut_{false};
+  std::thread thread_;
+};
+
 /// 2-level tree: nodes split across `relay_count` relay ISMs, each of which
-/// forwards its ordered output to the root over a RelayEgress.
+/// forwards its ordered output to the root over a RelayEgress. With
+/// `cut_first_relay`, relay 0 reaches the root through a LinkCutter and
+/// must come out of it having reconnected and replayed.
 std::vector<sensors::Record> run_tree(
     const GridMode& mode, const std::map<NodeId, std::vector<sensors::Record>>& workload,
-    std::size_t total, std::size_t relay_count) {
+    std::size_t total, std::size_t relay_count, bool cut_first_relay = false) {
   auto log = std::make_shared<DeliveredLog>();
   auto sink = std::make_shared<CallbackSink>(
       [log](const sensors::Record& r) { log->add(r); });
@@ -211,6 +312,8 @@ std::vector<sensors::Record> run_tree(
   EXPECT_TRUE(root.is_ok()) << root.status().to_string();
   if (!root) return {};
   std::thread root_thread([&] { (void)root.value()->run(); });
+  std::unique_ptr<LinkCutter> cutter;
+  if (cut_first_relay) cutter = std::make_unique<LinkCutter>(root.value()->port());
 
   struct RelayNode {
     std::shared_ptr<RelayEgress> egress;
@@ -221,7 +324,7 @@ std::vector<sensors::Record> run_tree(
   std::vector<RelayNode> relays(relay_count);
   for (std::size_t r = 0; r < relay_count; ++r) {
     RelayConfig relay_config;
-    relay_config.parent_port = root.value()->port();
+    relay_config.parent_port = r == 0 && cutter ? cutter->port() : root.value()->port();
     relay_config.relay_node = static_cast<NodeId>(1000 + r);
     relay_config.idle_watermark_period_us = 20'000;
     auto egress = RelayEgress::connect(relay_config, clk::SystemClock::instance());
@@ -251,6 +354,13 @@ std::vector<sensors::Record> run_tree(
     // for the root's acks, and says BYE.
     EXPECT_TRUE(relay.ism->drain().ok());
     EXPECT_EQ(relay.egress->stats().records_forwarded, relay.expected);
+  }
+  if (cutter) {
+    EXPECT_TRUE(cutter->cut());
+    const RelayEgressStats cut = relays[0].egress->stats();
+    EXPECT_GE(cut.reconnects, 1u);
+    EXPECT_EQ(cut.reconnects, cut.link.reconnects);
+    EXPECT_GE(cut.link.batches_replayed, 1u);
   }
   EXPECT_TRUE(wait_for_received(*root.value(), total));
   root.value()->stop();
@@ -468,6 +578,30 @@ TEST_P(RelayFederationTest, TreeOutputByteIdenticalToFlat) {
           << "first divergence at record " << i << ":\n  flat: " << flat[i].to_string()
           << "\n  tree: " << tree[i].to_string();
     }
+  }
+}
+
+// The relay→root link is lost after the relay shipped a batch the root
+// never received: the relay reconnects, the root's HELLO_ACK names the
+// missing batch, and the replay restores it — the tree output stays
+// byte-identical to the flat run, with nothing lost or duplicated.
+TEST_P(RelayFederationTest, RelayReconnectReplaysLostBatch) {
+  const TimeMicros base = clk::SystemClock::instance().now();
+  const auto workload = make_workload(base);
+  std::size_t total = 0;
+  for (const auto& [node, records] : workload) total += records.size();
+
+  const std::vector<sensors::Record> flat = run_flat(GetParam(), workload, total);
+  ASSERT_EQ(flat.size(), total);
+  const std::vector<sensors::Record> tree =
+      run_tree(GetParam(), workload, total, 2, /*cut_first_relay=*/true);
+  ASSERT_EQ(tree.size(), total);
+  const std::vector<std::string> flat_bytes = encode_all(flat);
+  const std::vector<std::string> tree_bytes = encode_all(tree);
+  for (std::size_t i = 0; i < total; ++i) {
+    ASSERT_EQ(flat_bytes[i], tree_bytes[i])
+        << "first divergence at record " << i << ":\n  flat: " << flat[i].to_string()
+        << "\n  tree: " << tree[i].to_string();
   }
 }
 
