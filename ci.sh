@@ -51,8 +51,9 @@
 #      and data-race-adjacent bugs actually surface, plus the output
 #      encoders that write records into stack buffers, write_all's
 #      writability wait on a descriptor beyond FD_SETSIZE, the upstream
-#      client suite (blocking flush, reconnect budget, writable toggling)
-#      and the SPSC queue's capacity guard
+#      client suite (blocking flush, reconnect budget, writable toggling),
+#      the SPSC queue's capacity guard, and the session table plus the
+#      window-update and ack-cadence tests (drained cells, regrant marks)
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the window-update and ack-cadence tests, the session
 #      table, the flow-control property suite, the consumer-gateway
@@ -60,8 +61,9 @@
 #      two-hop sync, metrics aggregation, relay reconnect + replay), the
 #      upstream client suite, and the flight-recorder and health-rollup
 #      suites — the cross-thread stats counters, the credit
-#      drained-record cells (bumped on the merger thread while the session
-#      table publishes and retires them), the relay lane cells, the threaded
+#      drained-record cells and their regrant marks and wakeups (bumped on
+#      the merger thread while the session table publishes, re-arms and
+#      retires them), the relay lane cells, the threaded
 #      close path, and the gateway's fan-out thread must stay clean on the
 #      whole grid
 #
@@ -530,9 +532,11 @@ ctest --test-dir build-asan --output-on-failure -L resilience
 # The stack-buffer output encoders: the allocation-count binary (its counting
 # operator new allocates through the sanitizer's malloc), the shm sink and
 # the native codec; the upstream client's outbox and socket swaps across
-# reconnects; and the SPSC queue's capacity guard.
+# reconnects; the SPSC queue's capacity guard; and the session table's
+# drained cells and regrant marks with the loopback window-update and
+# ack-cadence tests that drive them through a live ISM.
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue'
+  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence'
 
 echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null

@@ -269,6 +269,14 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.batch_seq_gaps),
               static_cast<unsigned long long>(stats.idle_disconnects),
               static_cast<unsigned long long>(stats.sessions_expired));
+  if (config.ism.credit_window_records > 0) {
+    std::printf("credit: %llu grants (%llu zero-window), %llu half-window updates, "
+                "%llu drain window updates\n",
+                static_cast<unsigned long long>(stats.credit_grants_sent),
+                static_cast<unsigned long long>(stats.zero_window_grants),
+                static_cast<unsigned long long>(stats.window_update_acks),
+                static_cast<unsigned long long>(stats.drain_window_updates));
+  }
   if (faults_enabled) {
     const net::FaultStats& faults = manager.value()->ism().fault_stats();
     std::printf("faults injected: %llu/%llu frames dropped, %llu stalled, %llu truncated, "

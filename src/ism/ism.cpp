@@ -36,7 +36,7 @@ Ism::Ism(const IsmConfig& config, clk::Clock& clock, std::shared_ptr<Sink> outpu
       output_(std::move(output)),
       listener_(std::move(listener)),
       loop_(net::make_poller(config.poller)),
-      sessions_(config_, clock_, flight_),
+      sessions_(config_, clock_, flight_, [this] { regrant_wake_.signal(); }),
       sync_transport_(*this) {
   PipelineConfig pipeline_config;
   pipeline_config.shards = config_.sorter_shards;
@@ -100,6 +100,7 @@ void Ism::register_metrics() {
     b.counter("ism.credit_grants_sent", s.credit_grants_sent);
     b.counter("ism.zero_window_grants", s.zero_window_grants);
     b.counter("ism.window_update_acks", s.window_update_acks);
+    b.counter("ism.drain_window_updates", s.drain_window_updates);
     b.counter("ism.reader_migrations", s.reader_migrations);
 
     const PipelineStats p = pipeline_->stats();
@@ -196,6 +197,7 @@ IsmStats Ism::stats() const noexcept {
   out.credit_grants_sent = s.credit_grants_sent.load(std::memory_order_relaxed);
   out.zero_window_grants = s.zero_window_grants.load(std::memory_order_relaxed);
   out.window_update_acks = s.window_update_acks.load(std::memory_order_relaxed);
+  out.drain_window_updates = s.drain_window_updates.load(std::memory_order_relaxed);
   out.reader_migrations = stats_.reader_migrations.load(std::memory_order_relaxed);
   return out;
 }
@@ -228,6 +230,14 @@ Result<std::unique_ptr<Ism>> Ism::start(const IsmConfig& config, clk::Clock& clo
   });
   if (!st) return st;
   ism->loop_->set_idle([raw] { raw->idle_work(); });
+  auto regrant_wake = net::WakeupPipe::create();
+  if (!regrant_wake) return regrant_wake.status();
+  ism->regrant_wake_ = std::move(regrant_wake).value();
+  st = ism->loop_->watch(ism->regrant_wake_.fd(), [raw](int, net::Readiness) {
+    raw->regrant_wake_.drain();
+    raw->send_window_updates();
+  });
+  if (!st) return st;
 
   for (std::size_t i = 0; i < config.reader_threads; ++i) {
     ReaderConfig reader_config;
@@ -921,10 +931,26 @@ Ism::Connection* Ism::slave(std::size_t index) {
 }
 
 TimeMicros Ism::next_wait_us() {
-  if (pipeline_due_at_ < 0) return config_.select_timeout_us;
-  const TimeMicros due = std::max<TimeMicros>(pipeline_due_at_ - monotonic_micros(), 0);
+  const TimeMicros now = monotonic_micros();
+  TimeMicros due_at = pipeline_due_at_ < 0 ? now + config_.select_timeout_us : pipeline_due_at_;
+  // session_sweep's ack cadence: an ack period below the select timeout
+  // must not wait for something else to wake the loop.
+  for (const auto& [fd, conn] : connections_) {
+    if (!conn.hello_seen || conn.closing) continue;
+    due_at = std::min(due_at, conn.last_ack_sent_us + sessions_.ack_period(conn.node));
+  }
+  const TimeMicros due = std::max<TimeMicros>(due_at - now, 0);
   if (due < config_.select_timeout_us) return std::max(due, kMinLoopWaitUs);
   return config_.select_timeout_us;
+}
+
+void Ism::send_window_updates() {
+  for (auto& [fd, conn] : connections_) {
+    if (!conn.hello_seen || conn.closing || !sessions_.regrant_due(conn.node)) continue;
+    // A failed update is left to the sweep's next ack, which classifies it
+    // (transient buffer_full vs. dead peer).
+    (void)send_ack(conn, tp::MsgType::batch_ack);
+  }
 }
 
 Status Ism::run() {

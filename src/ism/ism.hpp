@@ -37,6 +37,7 @@
 #include "net/frame.hpp"
 #include "net/poller.hpp"
 #include "net/socket.hpp"
+#include "net/wakeup.hpp"
 #include "tp/batch.hpp"
 
 namespace brisk::ism {
@@ -46,7 +47,7 @@ struct IsmConfig {
   /// Longest readiness wait of the main loop (the paper's latency-floor
   /// knob — "waiting select system calls, which can delay an event record
   /// for up to 40 ms"); the loop wakes sooner when the sorter has a record
-  /// due.
+  /// due or a session an ack.
   TimeMicros select_timeout_us = 40'000;
   /// Poller backend for the main loop and any reader threads.
   net::PollerBackend poller = net::PollerBackend::select;
@@ -163,6 +164,7 @@ struct IsmStats {
   std::uint64_t credit_grants_sent = 0;        // acks that carried a grant
   std::uint64_t zero_window_grants = 0;        // grants that closed the window
   std::uint64_t window_update_acks = 0;        // acks sent after half a window admitted
+  std::uint64_t drain_window_updates = 0;      // acks sent after a quarter window drained
   // --- reader-pool rebalancing -----------------------------------------------
   std::uint64_t reader_migrations = 0;         // connections moved between readers
 };
@@ -181,8 +183,9 @@ class Ism {
   [[nodiscard]] std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Runs the poll loop until stop(). Each wait lasts until the pipeline's
-  /// next record is due, capped at select_timeout_us (the rule the shard
-  /// workers apply to their own sorters when they run).
+  /// next record or a session's next ack is due, capped at
+  /// select_timeout_us (the rule the shard workers apply to their own
+  /// sorters when they run).
   Status run();
   /// Runs for at most `duration` of monotonic time (tests and benches).
   Status run_for(TimeMicros duration);
@@ -320,8 +323,12 @@ class Ism {
   void deliver_traced(const sensors::Record& record);
   void idle_work();
   /// The next poll's timeout: min(select_timeout_us, pipeline next due as
-  /// of the last service()), floored at kMinLoopWaitUs.
+  /// of the last service(), earliest session ack due), floored at
+  /// kMinLoopWaitUs.
   TimeMicros next_wait_us();
+  /// Drain-driven window updates: acks every session whose drained records
+  /// let its grant widen by a quarter window (the regrant wakeup's handler).
+  void send_window_updates();
   /// Idle reaping, quarantine expiry, and periodic BATCH_ACKs.
   void session_sweep();
   /// Reader-pool rebalancing: once the decayed drained-rate imbalance has
@@ -389,6 +396,9 @@ class Ism {
   TimeMicros last_metrics_emit_us_ = 0;  // monotonic
   SequenceNo metrics_sequence_ = 0;      // running seq of emitted metrics records
   metrics::FlightRecorder flight_{"ism"};
+  /// Signalled (from whichever thread drains the pipeline) when a session's
+  /// drained records cross its re-grant mark; the loop then acks it.
+  net::WakeupPipe regrant_wake_;
   /// One entry per node that ever said hello, until its quarantine expires.
   SessionTable sessions_;
   /// How far emit_metrics_snapshot has drained flight_ into 0xFF03 records.

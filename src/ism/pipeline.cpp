@@ -5,6 +5,7 @@
 
 #include "common/logging.hpp"
 #include "common/time_util.hpp"
+#include "ism/session_table.hpp"
 
 namespace brisk::ism {
 
@@ -248,7 +249,7 @@ Status OrderingPipeline::drain() {
     RelayLane& lane = *relay_lanes_[j];
     std::vector<ShardOutput>& tail = tails[shards_.size() + j];
     for (sensors::Record& queued : lane.queue) {
-      if (lane.drained) lane.drained->fetch_add(1, std::memory_order_relaxed);
+      if (lane.drained) lane.drained->note_drained();
       tail.push_back(ShardOutput{std::move(queued), false});
     }
     lane.queue.clear();
@@ -261,8 +262,7 @@ Status OrderingPipeline::drain() {
 
 // ---- ordered ingress (relay lanes) ------------------------------------------
 
-std::size_t OrderingPipeline::add_relay_lane(
-    std::shared_ptr<std::atomic<std::uint64_t>> drained) {
+std::size_t OrderingPipeline::add_relay_lane(std::shared_ptr<DrainCell> drained) {
   std::lock_guard<std::mutex> lk(merger_mutex_);
   auto lane = std::make_unique<RelayLane>();
   lane->drained = std::move(drained);
@@ -526,7 +526,7 @@ void OrderingPipeline::merge_step() {
         RelayLane& lane = *relay_lanes_[best - n];
         record = std::move(lane.queue.front());
         lane.queue.pop_front();
-        if (lane.drained) lane.drained->fetch_add(1, std::memory_order_relaxed);
+        if (lane.drained) lane.drained->note_drained();
         if (lane.queue.empty() && !lane.flushed.load(std::memory_order_acquire)) {
           const TimeMicros wm = lane.watermark.load(std::memory_order_acquire);
           if (wm < bound) bound = wm;

@@ -57,6 +57,8 @@
 
 namespace brisk::ism {
 
+struct DrainCell;  // session_table.hpp
+
 struct PipelineConfig {
   /// Ordering shards. 1 = one sorter driven by the caller's service()
   /// (paper mode); N > 1 starts N shard worker threads plus one merger
@@ -145,7 +147,7 @@ class OrderingPipeline {
   /// Registers an ordered-ingress lane (ordering thread). `drained` — may
   /// be null — is bumped once per record the merge releases from this lane,
   /// so credit grants track pipeline progress. Returns the lane id.
-  std::size_t add_relay_lane(std::shared_ptr<std::atomic<std::uint64_t>> drained);
+  std::size_t add_relay_lane(std::shared_ptr<DrainCell> drained);
   /// Appends one relay batch's records — already sorted, already in this
   /// ISM's timebase — and then advances the lane watermark (ordering thread).
   Status submit_relay(std::size_t lane, std::vector<sensors::Record> records,
@@ -205,7 +207,7 @@ class OrderingPipeline {
     std::deque<sensors::Record> queue;
     std::atomic<TimeMicros> watermark{std::numeric_limits<TimeMicros>::min()};
     std::atomic<bool> flushed{false};
-    std::shared_ptr<std::atomic<std::uint64_t>> drained;  // may be null
+    std::shared_ptr<DrainCell> drained;  // may be null
   };
 
   void start_threads();

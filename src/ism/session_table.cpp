@@ -6,6 +6,22 @@
 #include "ism/ism.hpp"
 
 namespace brisk::ism {
+namespace {
+
+/// How far a grant must be able to widen before a drain triggers a window
+/// update: a quarter window, at least one record.
+std::uint64_t regrant_step(std::uint64_t window) { return std::max<std::uint64_t>(window / 4, 1); }
+
+std::uint64_t backlog_of(std::uint64_t admitted, const SessionTable::DrainedCell& cell) {
+  const std::uint64_t drained = cell ? cell->drained.load(std::memory_order_relaxed) : 0;
+  return admitted > drained ? admitted - drained : 0;
+}
+
+bool node_less(const std::pair<NodeId, SessionTable::DrainedCell>& entry, NodeId node) {
+  return entry.first < node;
+}
+
+}  // namespace
 
 SessionTable::Hello SessionTable::hello(NodeId node, std::uint64_t incarnation,
                                         std::uint32_t version, bool relay) {
@@ -31,7 +47,7 @@ SessionTable::Hello SessionTable::hello(NodeId node, std::uint64_t incarnation,
   // A relay's cell is bumped by the merge as it releases lane records, which
   // carry origin node ids: the per-node map would never find it.
   if (relay ? !session.relay_lane : session.credited && !session.records_drained) {
-    session.records_drained = std::make_shared<std::atomic<std::uint64_t>>(0);
+    session.records_drained = std::make_shared<DrainCell>(on_regrant_);
     if (!relay) set_drained(node, session.records_drained);
   }
   return Hello{session.relay_lane, session.records_drained};
@@ -91,9 +107,9 @@ bool SessionTable::admitted(NodeId node, std::uint64_t records) {
   NodeSession& session = it->second;
   session.records_admitted += records;
   const std::uint64_t threshold = std::max<std::uint64_t>(config_.credit_window_records / 2, 1);
-  if (!session.credited || session.records_admitted - session.admitted_at_last_ack < threshold) {
-    return false;
-  }
+  if (!session.credited) return false;
+  arm(session);
+  if (session.records_admitted - session.admitted_at_last_ack < threshold) return false;
   bump(counters_.window_update_acks);
   return true;
 }
@@ -101,10 +117,7 @@ bool SessionTable::admitted(NodeId node, std::uint64_t records) {
 std::uint64_t SessionTable::backlog(NodeId node) const {
   const auto it = sessions_.find(node);
   if (it == sessions_.end()) return 0;
-  const NodeSession& session = it->second;
-  const std::uint64_t drained =
-      session.records_drained ? session.records_drained->load(std::memory_order_relaxed) : 0;
-  return session.records_admitted > drained ? session.records_admitted - drained : 0;
+  return backlog_of(it->second.records_admitted, it->second.records_drained);
 }
 
 std::optional<tp::HelloAck> SessionTable::ack(NodeId node) {
@@ -116,9 +129,11 @@ std::optional<tp::HelloAck> SessionTable::ack(NodeId node) {
   ack.next_expected_seq = session.next_batch_seq;
   if (session.credited) {
     const std::uint64_t window = config_.credit_window_records;
-    const auto granted = static_cast<std::uint32_t>(window - std::min(window, backlog(node)));
+    const std::uint64_t backlog = backlog_of(session.records_admitted, session.records_drained);
+    const auto granted = static_cast<std::uint32_t>(window - std::min(window, backlog));
     ack.credit = tp::CreditGrant{session.incarnation, granted, config_.credit_window_bytes};
     session.last_granted_records = granted;
+    arm(session);
     bump(counters_.credit_grants_sent);
     if (granted == 0) {
       bump(counters_.zero_window_grants);
@@ -129,6 +144,34 @@ std::optional<tp::HelloAck> SessionTable::ack(NodeId node) {
   bump(counters_.acks_sent);
   session.admitted_at_last_ack = session.records_admitted;
   return ack;
+}
+
+bool SessionTable::regrant_due(NodeId node) {
+  const auto it = sessions_.find(node);
+  if (it == sessions_.end() || !it->second.credited) return false;
+  const NodeSession& session = it->second;
+  const std::uint64_t window = config_.credit_window_records;
+  const std::uint64_t headroom =
+      window - std::min(window, backlog_of(session.records_admitted, session.records_drained));
+  if (headroom < session.last_granted_records + regrant_step(window)) return false;
+  bump(counters_.drain_window_updates);
+  return true;
+}
+
+void SessionTable::arm(NodeSession& session) {
+  if (!session.credited || !session.records_drained) return;
+  DrainCell& cell = *session.records_drained;
+  const std::uint64_t window = config_.credit_window_records;
+  const std::uint64_t target = session.last_granted_records + regrant_step(window);
+  // window − (admitted − drained) ≥ target  ⇔  drained ≥ admitted + target − window.
+  std::uint64_t mark = DrainCell::kNever;
+  if (target <= window) {
+    const std::uint64_t reach = session.records_admitted + target;
+    mark = reach > window ? reach - window : 0;
+  }
+  cell.regrant_at.store(mark);
+  // The drain side may have passed the mark before it was stored.
+  if (mark != DrainCell::kNever && cell.drained.load() >= mark && on_regrant_) on_regrant_();
 }
 
 TimeMicros SessionTable::ack_period(NodeId node) const {
@@ -174,23 +217,32 @@ void SessionTable::expire(NodeId node, std::size_t drained) {
 
 void SessionTable::set_drained(NodeId node, DrainedCell cell) {
   const auto old = std::atomic_load_explicit(&drained_, std::memory_order_acquire);
-  if (!cell && (!old || old->count(node) == 0)) return;
   auto next = old ? std::make_shared<DrainedMap>(*old) : std::make_shared<DrainedMap>();
-  if (cell) {
-    (*next)[node] = std::move(cell);
+  const auto at = std::lower_bound(next->begin(), next->end(), node, node_less);
+  const bool present = at != next->end() && at->first == node;
+  if (!cell && !present) return;
+  if (!cell) {
+    next->erase(at);
+  } else if (present) {
+    at->second = std::move(cell);
   } else {
-    next->erase(node);
+    next->emplace(at, node, std::move(cell));
   }
   std::atomic_store_explicit(&drained_, std::shared_ptr<const DrainedMap>(std::move(next)),
                              std::memory_order_release);
+  drained_version_.fetch_add(1, std::memory_order_release);
 }
 
 void SessionTable::note_record_drained(NodeId node) noexcept {
   if (config_.credit_window_records == 0) return;
-  const auto map = std::atomic_load_explicit(&drained_, std::memory_order_acquire);
-  if (!map) return;
-  const auto it = map->find(node);
-  if (it != map->end()) it->second->fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t version = drained_version_.load(std::memory_order_acquire);
+  if (version != sink_version_) {
+    sink_map_ = std::atomic_load_explicit(&drained_, std::memory_order_acquire);
+    sink_version_ = version;
+  }
+  if (!sink_map_) return;
+  const auto at = std::lower_bound(sink_map_->begin(), sink_map_->end(), node, node_less);
+  if (at != sink_map_->end() && at->first == node) at->second->note_drained();
 }
 
 }  // namespace brisk::ism

@@ -2,10 +2,13 @@
 // go-back-N holes, gap skip), rejoin and quarantine, credit grants and the
 // ack cadence. No sockets, no monotonic clock: each call takes the caller's
 // `now` and returns the action; Ism sends whatever ack it asks for. Ordering
-// thread only, except note_record_drained and counters() (any thread).
+// thread only, except note_record_drained (the pipeline's sink thread),
+// DrainCell::note_drained and counters() (any thread).
 #pragma once
 
 #include <atomic>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,16 +39,43 @@ struct SessionCounters {
   std::atomic<std::uint64_t> credit_grants_sent{0};
   std::atomic<std::uint64_t> zero_window_grants{0};
   std::atomic<std::uint64_t> window_update_acks{0};
+  std::atomic<std::uint64_t> drain_window_updates{0};
+};
+
+/// One credited session's pipeline-exit counter. The drain side bumps it
+/// once per record that leaves the pipeline; the ordering thread keeps
+/// `regrant_at`, the drained count at which the session's grant could widen
+/// by a quarter window. The bump that reaches it calls `wake`, so the
+/// ordering loop re-grants as soon as the pipeline has freed the credit.
+/// The counter and the mark are seq_cst on both sides: a mark stored while
+/// the drain side is crossing it is either seen by the bump or seen crossed
+/// by the re-check after the store (see SessionTable::arm).
+struct DrainCell {
+  static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+  explicit DrainCell(std::function<void()> on_regrant) : wake(std::move(on_regrant)) {}
+
+  void note_drained() noexcept {
+    const std::uint64_t drained_now = drained.fetch_add(1) + 1;
+    if (drained_now == regrant_at.load() && wake) wake();
+  }
+
+  std::atomic<std::uint64_t> drained{0};
+  std::atomic<std::uint64_t> regrant_at{kNever};
+  const std::function<void()> wake;
 };
 
 class SessionTable {
  public:
-  using DrainedCell = std::shared_ptr<std::atomic<std::uint64_t>>;
+  using DrainedCell = std::shared_ptr<DrainCell>;
 
   /// Reads the resilience and credit fields of `config`, which must outlive
-  /// the table. `clock` only stamps flight-recorder events.
-  SessionTable(const IsmConfig& config, clk::Clock& clock, metrics::FlightRecorder& flight)
-      : config_(config), clock_(clock), flight_(flight) {}
+  /// the table. `clock` only stamps flight-recorder events. `on_regrant`
+  /// (any thread) is called when a session's drained records cross its
+  /// re-grant mark; the caller then asks regrant_due.
+  SessionTable(const IsmConfig& config, clk::Clock& clock, metrics::FlightRecorder& flight,
+               std::function<void()> on_regrant = {})
+      : config_(config), clock_(clock), flight_(flight), on_regrant_(std::move(on_regrant)) {}
 
   struct Hello {
     /// Relay sessions: the lane of this incarnation's earlier connection to
@@ -71,6 +101,10 @@ class SessionTable {
   /// The ack to send now (a BATCH_ACK uses its cursor and grant). The grant
   /// is the window minus the in-pipeline backlog, clamped at zero.
   std::optional<tp::HelloAck> ack(NodeId node);
+  /// True when a credited session's grant, as of the records drained so far,
+  /// would exceed its last grant by a quarter window: a window update is due
+  /// now rather than at the replenish cadence. Asked after on_regrant fires.
+  bool regrant_due(NodeId node);
   /// credit_replenish_us while the last grant is below the full window (the
   /// EXS may be window-stalled), else ack_period_us.
   [[nodiscard]] TimeMicros ack_period(NodeId node) const;
@@ -84,7 +118,10 @@ class SessionTable {
   /// Forgets a session whose `drained` records left out of band.
   void expire(NodeId node, std::size_t drained);
 
-  /// Pipeline-sink hook: lock-free copy-on-write map lookup.
+  /// Pipeline-sink hook: bumps `node`'s cell. One thread at a time (the
+  /// pipeline runs its sink under the merger mutex); it re-reads the
+  /// published cells only when their version changes, so a record costs one
+  /// acquire load and a small sorted lookup, with no lock or refcount.
   void note_record_drained(NodeId node) noexcept;
 
   [[nodiscard]] std::uint64_t backlog(NodeId node) const;
@@ -107,16 +144,27 @@ class SessionTable {
     /// Lanes are append-only: the index survives one incarnation's rejoins.
     std::optional<std::size_t> relay_lane;
   };
-  using DrainedMap = std::map<NodeId, DrainedCell>;
+  /// Sorted by node: the sink hook's lookup over a handful of sessions.
+  using DrainedMap = std::vector<std::pair<NodeId, DrainedCell>>;
 
   /// Publishes `cell` for the sink hook; a null cell retires the node's.
   void set_drained(NodeId node, DrainedCell cell);
+  /// Sets the cell's re-grant mark from the session's admissions and last
+  /// grant: the drained count at which window − backlog reaches the last
+  /// grant plus a quarter window. Wakes at once if the pipeline is already
+  /// past it.
+  void arm(NodeSession& session);
 
   const IsmConfig& config_;
   clk::Clock& clock_;
   metrics::FlightRecorder& flight_;
+  const std::function<void()> on_regrant_;
   std::map<NodeId, NodeSession> sessions_;
   std::shared_ptr<const DrainedMap> drained_;  // replaced copy-on-write
+  std::atomic<std::uint64_t> drained_version_{0};  // bumped after each publish
+  // Sink-thread cache of drained_, refreshed when drained_version_ moves.
+  std::shared_ptr<const DrainedMap> sink_map_;
+  std::uint64_t sink_version_ = 0;
   SessionCounters counters_;
 };
 

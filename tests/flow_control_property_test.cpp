@@ -4,7 +4,8 @@
 // paced sends) against the ISM's real ism::SessionTable behind a frame
 // codec: cursor-based admission with dedupe and gap skip, the drained-record
 // cells, grants of `window − (admitted − drained)` on every ack, and the
-// half-window updates, all under the schedule's ManualClock.
+// half-window and drain-driven window updates, all under the schedule's
+// ManualClock.
 // EXS→ISM data frames pass through a sim::FaultInjector, so batches drop
 // and duplicate mid-stream; the link also hard-disconnects and reconnects.
 // For every seed the invariants must hold:
@@ -21,6 +22,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "clock/clock.hpp"
@@ -57,7 +59,9 @@ std::string param_name(const ::testing::TestParamInfo<FlowParam>& info) {
 
 /// The ISM side, reduced to the wire: frames decode into calls on the real
 /// ism::SessionTable (cursor, dedupe, gap skip, grants, window updates), and
-/// every ack the table asks for is encoded back to the EXS.
+/// every ack the table asks for is encoded back to the EXS. The table's
+/// regrant wakeup only raises a flag, which take_window_updates consumes the
+/// way the ISM's loop consumes its wakeup pipe.
 class ModelIsm {
  public:
   ModelIsm(std::uint32_t window_records, std::uint64_t window_bytes, clk::Clock& clock)
@@ -137,6 +141,16 @@ class ModelIsm {
   }
   void drain_all() { drain(sessions_.backlog(node_)); }
 
+  /// The ISM loop's regrant wakeup: a BATCH_ACK if the drained records let
+  /// the grant widen by a quarter window. A wakeup while the link is down
+  /// is consumed with nothing to ack (the HELLO_ACK re-grants on rejoin).
+  std::vector<ByteBuffer> take_window_updates(bool connected) {
+    std::vector<ByteBuffer> replies;
+    if (!std::exchange(regrant_pending_, false) || !connected) return replies;
+    if (sessions_.regrant_due(node_)) replies.push_back(make_ack(tp::MsgType::batch_ack));
+    return replies;
+  }
+
   /// Payload values of admitted records, in admission order — the stream
   /// the downstream sorter would see from this node.
   [[nodiscard]] const std::vector<std::int32_t>& stream() const noexcept {
@@ -147,7 +161,8 @@ class ModelIsm {
   ism::IsmConfig config_;
   clk::Clock& clock_;
   metrics::FlightRecorder flight_{"flow-control-model"};
-  ism::SessionTable sessions_{config_, clock_, flight_};
+  bool regrant_pending_ = false;
+  ism::SessionTable sessions_{config_, clock_, flight_, [this] { regrant_pending_ = true; }};
   NodeId node_ = 0;
   std::vector<std::int32_t> stream_;
 };
@@ -157,6 +172,7 @@ struct RunResult {
   std::vector<std::int32_t> admitted;
   ExsStats stats;
   std::uint64_t window_updates = 0;  // acks the table sent on half a window
+  std::uint64_t drain_updates = 0;   // acks the table sent on a quarter drained
   std::uint64_t gaps = 0;            // holes the table declared lost
   bool drained_clean = false;  // the drain phase emptied the replay buffer
 };
@@ -203,9 +219,14 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
     std::int32_t next_value = 0;
 
     // Delivering an ack can make the core pump parked batches, which lands
-    // more frames on the wire — loop until quiescent.
+    // more frames on the wire — loop until quiescent, serving the model's
+    // regrant wakeups like the ISM loop would.
     auto pump_wire = [&] {
-      while (!wire.empty()) {
+      for (;;) {
+        for (ByteBuffer& update : model.take_window_updates(connected)) {
+          EXPECT_TRUE(core.handle_frame(update.view()));
+        }
+        if (wire.empty()) break;
         std::vector<ByteBuffer> frames = std::move(wire);
         wire.clear();
         for (ByteBuffer& frame : frames) {
@@ -305,6 +326,7 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
     result.admitted = model.stream();
     result.stats = core.stats();
     result.window_updates = model.counters().window_update_acks.load();
+    result.drain_updates = model.counters().drain_window_updates.load();
     result.gaps = model.counters().batch_seq_gaps.load();
     return result;
   }
@@ -326,6 +348,7 @@ TEST_P(FlowControlProperty, StreamSurvivesWindowsFaultsAndReconnects) {
   if (param.window_records > 0) {
     EXPECT_GT(result.stats.credit_grants_received, 0u);
     EXPECT_GT(result.window_updates, 0u) << "half-window updates never reached the EXS";
+    EXPECT_GT(result.drain_updates, 0u) << "drain-driven updates never reached the EXS";
     EXPECT_EQ(result.stats.credit_window_bytes, param.window_bytes);
     if (param.window_records <= 8) {
       // A window this small against 8-record bursts must have parked
@@ -336,6 +359,7 @@ TEST_P(FlowControlProperty, StreamSurvivesWindowsFaultsAndReconnects) {
     EXPECT_EQ(result.stats.credit_grants_received, 0u);
     EXPECT_EQ(result.stats.paced_batches, 0u);
     EXPECT_EQ(result.window_updates, 0u);
+    EXPECT_EQ(result.drain_updates, 0u);
   }
 }
 
@@ -440,6 +464,86 @@ TEST_P(FlowControlProperty, ReplayAfterReconnectRespectsReopenedWindow) {
   deliver_ack(tp::MsgType::batch_ack, 4, 8);
   deliver_ack(tp::MsgType::batch_ack, 6, 8);
   EXPECT_TRUE(core.replay().empty());
+}
+
+// The drain trigger, deterministically: a window-stalled EXS whose backlog
+// drains by a quarter window is re-granted with the ManualClock frozen — no
+// replenish period or ack period has to pass.
+TEST(FlowControlPropertyDrainTrigger, StalledSessionIsReGrantedWithoutTheClockAdvancing) {
+  constexpr std::uint32_t kWindow = 16;
+  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
+  ASSERT_TRUE(rings.is_ok());
+  clk::ManualClock clock(1'000'000);
+  ExsConfig config;
+  config.node = 7;
+  config.incarnation = 42;
+  config.batch_max_age_us = 0;
+  config.batch_max_records = 4;
+  config.replay_buffer_batches = 256;
+  ModelIsm model(kWindow, 0, clock);
+  std::vector<ByteBuffer> wire;
+  ExsCore core(config, rings.value(), clock, [&wire](ByteBuffer payload) {
+    wire.push_back(std::move(payload));
+    return Status::ok();
+  });
+  auto pump_wire = [&] {
+    for (;;) {
+      for (ByteBuffer& update : model.take_window_updates(/*connected=*/true)) {
+        ASSERT_TRUE(core.handle_frame(update.view()));
+      }
+      if (wire.empty()) return;
+      std::vector<ByteBuffer> frames = std::move(wire);
+      wire.clear();
+      for (ByteBuffer& frame : frames) {
+        for (ByteBuffer& reply : model.on_frame(frame.view())) {
+          ASSERT_TRUE(core.handle_frame(reply.view()));
+        }
+      }
+    }
+  };
+  auto ring = rings.value().claim_slot();
+  ASSERT_TRUE(ring.is_ok());
+  sensors::Sensor sensor(ring.value(), clock);
+
+  ASSERT_TRUE(core.send_hello());
+  pump_wire();
+  ASSERT_TRUE(core.pacing());
+  // Six 4-record batches against a 16-record window: four go out (the half-
+  // window update at 8 admitted re-grants what is left), then the window
+  // closes with two parked.
+  for (int batch = 0; batch < 6; ++batch) {
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(sensor.notice(1, sensors::x_i32(batch * 4 + i)));
+    ASSERT_TRUE(core.drain_rings().is_ok());
+    ASSERT_TRUE(core.flush());
+    pump_wire();
+  }
+  ASSERT_EQ(model.stream().size(), 16u);
+  ASSERT_EQ(core.stats().credit_window_records, 0u) << "window-stalled";
+  const std::uint64_t grants = core.stats().credit_grants_received;
+
+  model.drain(kWindow / 4 - 1);
+  pump_wire();
+  EXPECT_EQ(core.stats().credit_grants_received, grants) << "below a quarter window";
+  EXPECT_EQ(model.stream().size(), 16u);
+
+  model.drain(1);
+  pump_wire();
+  EXPECT_EQ(core.stats().credit_grants_received, grants + 1);
+  EXPECT_EQ(model.counters().drain_window_updates.load(), 1u);
+  EXPECT_EQ(model.stream().size(), 20u) << "the widened grant pumped a parked batch";
+
+  // The EXS spent that grant at once, so the backlog must shrink by another
+  // quarter net of it: half a window more drained.
+  model.drain(kWindow / 4);
+  pump_wire();
+  EXPECT_EQ(model.stream().size(), 20u);
+  model.drain(kWindow / 4);
+  pump_wire();
+  EXPECT_EQ(model.counters().drain_window_updates.load(), 2u);
+  EXPECT_EQ(model.stream().size(), 24u);
+  EXPECT_FALSE(core.replay().empty()) << "the last batch is acked only by the next grant";
+  EXPECT_EQ(clock.now(), 1'000'000) << "no timer was involved";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -516,22 +516,23 @@ TEST(IsmOutboxStallTest, ZeroGraceReapsWedgedPeer) {
 // is pushed out of the picture (10 s ack period, no replenish cadence), so
 // every ack the client sees below is a window update.
 
-/// An ISM whose sorter holds every record until drain, so a node's
-/// backlog is exactly the records admitted from it.
+/// An ISM whose sorter holds every record for `hold_us` — by default until
+/// drain, so a node's backlog is exactly the records admitted from it.
 struct WindowUpdateIsm {
-  WindowUpdateIsm(std::uint32_t credit_records, const IngestMode& mode) {
+  WindowUpdateIsm(std::uint32_t credit_records, const IngestMode& mode,
+                  TimeMicros hold_us = 120'000'000, TimeMicros replenish_us = 0) {
     IsmConfig config;
     config.select_timeout_us = 2'000;
     config.enable_sync = false;
     config.sorter.adaptive = false;
-    config.sorter.initial_frame_us = 120'000'000;
-    config.sorter.max_frame_us = 120'000'000;
+    config.sorter.initial_frame_us = hold_us;
+    config.sorter.max_frame_us = hold_us;
     config.poller = mode.poller;
     config.reader_threads = mode.reader_threads;
     config.sorter_shards = mode.sorter_shards;
     config.ack_period_us = 10'000'000;
     config.credit_window_records = credit_records;
-    config.credit_replenish_us = 0;
+    config.credit_replenish_us = replenish_us;
     auto sink = std::make_shared<CallbackSink>([](const sensors::Record&) {});
     auto started = Ism::start(config, clk::SystemClock::instance(), sink);
     EXPECT_TRUE(started.is_ok()) << started.status().to_string();
@@ -637,6 +638,74 @@ TEST(IsmWindowUpdateTest, V2SessionAndCreditsOffGetNoWindowUpdates) {
     send_records(client, builder, 8);
     EXPECT_FALSE(ack_within(client, 300'000).has_value()) << "credits off keeps the ack period";
     EXPECT_EQ(server.ism->stats().window_update_acks, 0u);
+  }
+}
+
+// The pipeline exit drives the window update: once a stalled session's
+// records drain, its grant widens at once — not at the replenish cadence or
+// the ack period, both pushed out to 10 s here.
+TEST(IsmWindowUpdateTest, StalledSessionIsReGrantedOnceThePipelineDrains) {
+  constexpr TimeMicros kHold = 200'000;  // the sorter's fixed T
+  constexpr TimeMicros kPrompt = 200'000;
+  for (const IngestMode& mode :
+       {IngestMode{net::PollerBackend::select, 0}, IngestMode{net::PollerBackend::epoll, 2, 2}}) {
+    SCOPED_TRACE(std::string(net::to_string(mode.poller)) + " readers=" +
+                 std::to_string(mode.reader_threads));
+    WindowUpdateIsm server(/*credit_records=*/8, mode, kHold, /*replenish_us=*/10'000'000);
+    net::TcpSocket client = server.join(5, tp::kCreditProtocolVersion);
+    tp::BatchBuilder builder{NodeId(5)};
+
+    const TimeMicros sent_at = monotonic_micros();
+    send_records(client, builder, 8);  // the whole window
+    auto ack = ack_within(client, 2'000'000);
+    ASSERT_TRUE(ack.has_value()) << "the half-window update";
+    ASSERT_TRUE(ack->credit.has_value());
+    ASSERT_EQ(ack->credit->window_records, 0u) << "the sorter still holds the window";
+
+    ack = ack_within(client, kHold + kPrompt);
+    ASSERT_TRUE(ack.has_value()) << "no window update after the pipeline drained";
+    EXPECT_LE(monotonic_micros() - sent_at, kHold + kPrompt);
+    EXPECT_EQ(ack->next_expected_seq, 1u);
+    ASSERT_TRUE(ack->credit.has_value());
+    EXPECT_GT(ack->credit->window_records, 0u) << "the grant must widen";
+    EXPECT_GT(server.ism->stats().drain_window_updates, 0u);
+    EXPECT_EQ(server.ism->stats().window_update_acks, 1u);
+  }
+}
+
+// An ack period below the select timeout paces acks on its own: the loop's
+// wait folds in each session's ack deadline instead of sleeping the whole
+// select timeout between acks.
+TEST(IsmAckCadenceTest, AckPeriodBelowTheSelectTimeoutWakesTheLoop) {
+  IsmConfig config;
+  config.select_timeout_us = 1'000'000;
+  config.enable_sync = false;
+  config.ack_period_us = 50'000;
+  auto sink = std::make_shared<CallbackSink>([](const sensors::Record&) {});
+  auto ism = Ism::start(config, clk::SystemClock::instance(), sink);
+  ASSERT_TRUE(ism.is_ok()) << ism.status().to_string();
+  std::thread server([&] { (void)ism.value()->run(); });
+
+  auto client = net::TcpSocket::connect("127.0.0.1", ism.value()->port());
+  ASSERT_TRUE(client.is_ok());
+  ByteBuffer hello;
+  xdr::Encoder enc(hello);
+  tp::put_type(tp::MsgType::hello, enc);
+  tp::encode_hello({NodeId(4), tp::kProtocolVersion}, enc);
+  ASSERT_TRUE(net::write_frame(client.value(), hello.view()));
+  ASSERT_TRUE(net::read_frame(client.value()).is_ok()) << "hello_ack";
+  // No heartbeats, no batches: nothing but the ack deadline wakes the loop.
+  std::vector<TimeMicros> arrivals;
+  for (int i = 0; i < 5; ++i) {
+    if (!ack_within(client.value(), 1'500'000)) break;
+    arrivals.push_back(monotonic_micros());
+  }
+  ism.value()->stop();
+  server.join();
+
+  ASSERT_EQ(arrivals.size(), 5u);
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    EXPECT_LE(arrivals[i] - arrivals[i - 1], 200'000) << "ack " << i;
   }
 }
 

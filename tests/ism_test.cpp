@@ -95,10 +95,16 @@ class SessionTableTest : public ::testing::Test {
         [kind](const metrics::FlightEvent& e) { return e.kind == kind; }));
   }
 
+  /// Drains `count` records of kNode at the pipeline exit.
+  void drain(int count) {
+    for (int i = 0; i < count; ++i) table_.note_record_drained(kNode);
+  }
+
   IsmConfig config_;
   clk::ManualClock clock_{kT0};
   metrics::FlightRecorder flight_{"session-table-test"};
-  SessionTable table_{config_, clock_, flight_};
+  std::atomic<int> wakes_{0};  // regrant wakeups the drain side raised
+  SessionTable table_{config_, clock_, flight_, [this] { ++wakes_; }};
 };
 
 TEST_F(SessionTableTest, RejoinKeepsTheCursor) {
@@ -246,6 +252,87 @@ TEST_F(SessionTableTest, RelayLaneSurvivesARejoinButNotAReset) {
   EXPECT_EQ(again.drained, first.drained);
   table_.disconnect(kNode, false, kT0);
   EXPECT_FALSE(table_.hello(kNode, 43, tp::kCreditProtocolVersion, true).relay_lane);
+}
+
+TEST_F(SessionTableTest, QuarterWindowDrainedAfterAGrantMakesOneRegrantDue) {
+  table_.hello(kNode, 42, tp::kCreditProtocolVersion, false);
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 8u);
+  EXPECT_TRUE(table_.admitted(kNode, 8));
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 0u) << "window-stalled";
+  // Each quarter window (2 records) drained after a grant wakes the loop
+  // once and makes one regrant due; the grant widens by that quarter.
+  for (int round = 1; round <= 4; ++round) {
+    SCOPED_TRACE(round);
+    drain(1);
+    EXPECT_EQ(wakes_.load(), round - 1);
+    EXPECT_FALSE(table_.regrant_due(kNode));
+    drain(1);
+    EXPECT_EQ(wakes_.load(), round);
+    EXPECT_TRUE(table_.regrant_due(kNode));
+    EXPECT_EQ(table_.ack(kNode)->credit->window_records, 2u * round);
+  }
+  EXPECT_EQ(table_.counters().drain_window_updates.load(), 4u);
+  EXPECT_FALSE(table_.regrant_due(kNode)) << "a full-window grant cannot widen";
+  // Admissions after a grant move the mark: the backlog must shrink by a
+  // quarter window net of them.
+  EXPECT_TRUE(table_.admitted(kNode, 4));
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 4u);
+  table_.admitted(kNode, 1);
+  drain(2);
+  EXPECT_FALSE(table_.regrant_due(kNode));
+  EXPECT_EQ(wakes_.load(), 4);
+  drain(1);
+  EXPECT_EQ(wakes_.load(), 5);
+  EXPECT_TRUE(table_.regrant_due(kNode));
+}
+
+TEST_F(SessionTableTest, AMarkBehindTheDrainedCountWakesAtOnce) {
+  // The drain side can pass a mark before the ordering thread stores it:
+  // storing it then re-checks, so the crossing is never lost.
+  table_.hello(kNode, 42, tp::kCreditProtocolVersion, false);
+  table_.ack(kNode);
+  table_.admitted(kNode, 8);
+  table_.ack(kNode);  // grant 0, mark at 2 drained
+  drain(5);
+  EXPECT_EQ(wakes_.load(), 1);
+  table_.admitted(kNode, 1);  // moves the mark to 3, already passed
+  EXPECT_EQ(wakes_.load(), 2);
+  EXPECT_TRUE(table_.regrant_due(kNode));
+}
+
+TEST_F(SessionTableTest, NoRegrantForV2OrCreditsOffSessions) {
+  table_.hello(kNode, 42, tp::kMinProtocolVersion, false);
+  table_.ack(kNode);
+  table_.admitted(kNode, 8);
+  table_.ack(kNode);
+  drain(8);
+  EXPECT_FALSE(table_.regrant_due(kNode));
+  table_.disconnect(kNode, /*bye=*/true, kT0);
+  config_.credit_window_records = 0;
+  table_.hello(kNode, 43, tp::kCreditProtocolVersion, false);
+  table_.ack(kNode);
+  table_.admitted(kNode, 8);
+  table_.ack(kNode);
+  drain(8);
+  EXPECT_FALSE(table_.regrant_due(kNode));
+  EXPECT_EQ(wakes_.load(), 0);
+  EXPECT_EQ(table_.counters().drain_window_updates.load(), 0u);
+}
+
+TEST_F(SessionTableTest, RelayLaneCellRegrantsLikeASessionCell) {
+  // A relay's cell is bumped by the merge as it releases lane records
+  // (DrainCell::note_drained), not through the per-node sink hook.
+  const SessionTable::Hello joined = table_.hello(kNode, 42, tp::kCreditProtocolVersion, true);
+  ASSERT_TRUE(joined.drained);
+  table_.ack(kNode);
+  table_.admitted(kNode, 8);
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 0u);
+  joined.drained->note_drained();
+  EXPECT_FALSE(table_.regrant_due(kNode));
+  joined.drained->note_drained();
+  EXPECT_EQ(wakes_.load(), 1);
+  EXPECT_TRUE(table_.regrant_due(kNode));
+  EXPECT_EQ(table_.ack(kNode)->credit->window_records, 2u);
 }
 
 TEST_F(SessionTableTest, DrainedHookRacesSessionChurnCleanly) {

@@ -375,7 +375,9 @@ INSTANTIATE_TEST_SUITE_P(Shards, IsmMetricsTest, ::testing::Values(1, 2, 4),
                          });
 
 // A credited session that has half its window admitted is acked at once; the
-// ISM counts those acks as ism.window_update_acks in its 0xFF01 snapshot.
+// ISM counts those acks as ism.window_update_acks in its 0xFF01 snapshot,
+// apart from the drain-driven ones (ism.drain_window_updates). The sorter
+// holds every record until drain(), so no drain-driven update can fire.
 TEST(IsmMetricsWindowUpdateTest, SnapshotCountsWindowUpdateAcks) {
   ism::IsmConfig config;
   config.select_timeout_us = 2'000;
@@ -384,6 +386,9 @@ TEST(IsmMetricsWindowUpdateTest, SnapshotCountsWindowUpdateAcks) {
   config.ack_period_us = 10'000'000;  // every ack below is a window update
   config.credit_window_records = 4;
   config.credit_replenish_us = 0;
+  config.sorter.adaptive = false;
+  config.sorter.initial_frame_us = 120'000'000;
+  config.sorter.max_frame_us = 120'000'000;
   auto log = std::make_shared<std::vector<sensors::Record>>();
   auto mutex = std::make_shared<std::mutex>();
   auto sink = std::make_shared<ism::CallbackSink>([log, mutex](const sensors::Record& r) {
@@ -433,6 +438,8 @@ TEST(IsmMetricsWindowUpdateTest, SnapshotCountsWindowUpdateAcks) {
   ASSERT_TRUE(last_value.count("ism.window_update_acks"));
   EXPECT_EQ(last_value["ism.window_update_acks"], 1u);
   EXPECT_EQ(last_value["ism.credit_grants_sent"], 2u) << "hello_ack + the window update";
+  ASSERT_TRUE(last_value.count("ism.drain_window_updates"));
+  EXPECT_EQ(last_value["ism.drain_window_updates"], 0u);
 }
 
 }  // namespace
