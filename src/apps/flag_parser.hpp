@@ -6,8 +6,9 @@
 //  * FlagRegistry — a declarative registry on top of it: each flag is
 //    declared once with (name, type, default, help), --help output is
 //    generated from the declarations, unknown flags and type errors are
-//    rejected against them. The daemon mains declare their knobs and read
-//    typed values; nothing is stringly-typed twice.
+//    rejected against them. The daemon mains declare their knob tables
+//    (core/knobs.hpp) with add_knobs and copy the parsed values into their
+//    configs with apply_knobs; nothing is stringly-typed twice.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +17,12 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/string_util.hpp"
+#include "core/knobs.hpp"
 
 namespace brisk::apps {
 
@@ -105,25 +108,53 @@ class FlagParser {
 /// mismatches exit 2.
 class FlagRegistry {
  public:
-  enum class Type { string, integer, real, boolean };
-
   FlagRegistry(std::string program, std::string summary)
       : program_(std::move(program)), summary_(std::move(summary)) {}
 
   FlagRegistry& add_string(const std::string& name, const std::string& fallback,
                            const std::string& help) {
-    return declare(name, Type::string, fallback, help);
+    return declare(name, fallback, help);
   }
   FlagRegistry& add_int(const std::string& name, long long fallback, const std::string& help) {
-    return declare(name, Type::integer, std::to_string(fallback), help);
+    return declare(name, fallback, help);
   }
   FlagRegistry& add_double(const std::string& name, double fallback, const std::string& help) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%g", fallback);
-    return declare(name, Type::real, buf, help);
+    return declare(name, fallback, help);
   }
   FlagRegistry& add_bool(const std::string& name, bool fallback, const std::string& help) {
-    return declare(name, Type::boolean, fallback ? "true" : "false", help);
+    return declare(name, fallback, help);
+  }
+
+  /// Declares the flag of every knob row that has one, in table order. Each
+  /// default is the knob's value in a default-constructed Config.
+  template <typename Config>
+  FlagRegistry& add_knobs(std::span<const Knob<Config>> knobs) {
+    const Config defaults{};
+    for (const Knob<Config>& knob : knobs) {
+      if (knob.flag != nullptr) declare(knob.flag, knob.field.get(defaults), knob.help);
+    }
+    return *this;
+  }
+
+  /// Checks every knob flag against its row's range and stores it into
+  /// `config` through the row; a row without a setter is only checked (its
+  /// main reads the flag). A value out of range, or one the setter rejects,
+  /// exits 2 with a message naming the flag.
+  template <typename Config>
+  void apply_knobs(std::span<const Knob<Config>> knobs, Config& config) const {
+    for (const Knob<Config>& knob : knobs) {
+      if (knob.flag == nullptr) continue;
+      const KnobValue& value = find(knob.flag).value;
+      std::string error = knob_range_error(value, knob.min, knob.max);
+      if (error.empty() && knob.field.set != nullptr) {
+        error = knob.field.set(config, value).message();  // empty when stored
+      }
+      if (error.empty()) continue;
+      const std::string key = knob.key != nullptr ? std::string(" (") + knob.key + ")" : "";
+      std::fprintf(stderr, "%s: flag --%s%s: %s\n", program_.c_str(), knob.flag, key.c_str(),
+                   error.c_str());
+      std::exit(2);
+    }
   }
 
   /// Tokenizes argv, handles --help, and type-checks every provided value
@@ -137,19 +168,18 @@ class FlagRegistry {
     for (auto& spec : specs_) {
       auto v = parser.get(spec.name);
       if (!v.has_value()) continue;
-      spec.value = *v;
       spec.provided = true;
-      check_type(spec);
+      if (!assign(spec.value, *v)) {
+        std::fprintf(stderr, "%s: flag --%s expects %s, got '%s'\n", program_.c_str(),
+                     spec.name.c_str(), kTypes[spec.value.index()].expected, v->c_str());
+        std::exit(2);
+      }
     }
     parser.reject_unknown();
   }
 
-  [[nodiscard]] std::string str(const std::string& name) const {
-    return find(name, Type::string).value;
-  }
-  [[nodiscard]] long long num(const std::string& name) const {
-    return *parse_int(find(name, Type::integer).value);
-  }
+  [[nodiscard]] std::string str(const std::string& name) const { return typed<std::string>(name); }
+  [[nodiscard]] long long num(const std::string& name) const { return typed<long long>(name); }
   /// Reads an integer flag that counts, sizes or names something as a T.
   /// Negative values and values past `max` (the largest T by default) exit
   /// 2 with a message naming the flag — a cast would wrap them silently.
@@ -169,13 +199,8 @@ class FlagRegistry {
   [[nodiscard]] std::uint32_t node_id(const std::string& name) const {
     return count<std::uint32_t>(name, 0xFFFF'FFFEu);
   }
-  [[nodiscard]] double real(const std::string& name) const {
-    return *parse_double(find(name, Type::real).value);
-  }
-  [[nodiscard]] bool flag(const std::string& name) const {
-    const std::string& v = find(name, Type::boolean).value;
-    return v == "true" || v == "1" || v == "yes";
-  }
+  [[nodiscard]] double real(const std::string& name) const { return typed<double>(name); }
+  [[nodiscard]] bool flag(const std::string& name) const { return typed<bool>(name); }
   [[nodiscard]] bool provided(const std::string& name) const {
     for (const auto& spec : specs_) {
       if (spec.name == name) return spec.provided;
@@ -191,9 +216,9 @@ class FlagRegistry {
       out += head;
       out += spec.help;
       out += " [";
-      out += type_name(spec.type);
+      out += kTypes[spec.value.index()].name;
       out += ", default: ";
-      out += spec.type == Type::string ? ("\"" + spec.fallback + "\"") : spec.fallback;
+      out += spec.fallback;
       out += "]\n";
     }
     out += "  --help                     print this help and exit\n";
@@ -203,73 +228,82 @@ class FlagRegistry {
  private:
   struct Spec {
     std::string name;
-    Type type = Type::string;
-    std::string fallback;
+    KnobValue value;       // the default until parse() overwrites it
+    std::string fallback;  // the default as --help shows it
     std::string help;
-    std::string value;     // fallback until parse() overwrites it
     bool provided = false;
   };
 
-  FlagRegistry& declare(const std::string& name, Type type, const std::string& fallback,
-                        const std::string& help) {
+  // Per KnobValue alternative, in its order: the --help type name and what
+  // a bad value was expected to be.
+  struct TypeInfo {
+    const char* name;
+    const char* expected;
+  };
+  static constexpr TypeInfo kTypes[] = {{"int", "an integer"},
+                                        {"float", "a number"},
+                                        {"bool", "a boolean (true/false/1/0/yes/no)"},
+                                        {"string", "a string"}};
+
+  FlagRegistry& declare(const std::string& name, KnobValue fallback, const std::string& help) {
     for (const auto& spec : specs_) {
       if (spec.name == name) {
         std::fprintf(stderr, "%s: flag --%s declared twice\n", program_.c_str(), name.c_str());
         std::exit(2);
       }
     }
-    specs_.push_back(Spec{name, type, fallback, help, fallback, false});
+    char text[64] = "";
+    if (const auto* integer = std::get_if<long long>(&fallback)) {
+      std::snprintf(text, sizeof text, "%lld", *integer);
+    } else if (const auto* real = std::get_if<double>(&fallback)) {
+      std::snprintf(text, sizeof text, "%g", *real);
+    } else if (const auto* boolean = std::get_if<bool>(&fallback)) {
+      std::snprintf(text, sizeof text, "%s", *boolean ? "true" : "false");
+    }
+    const auto* string = std::get_if<std::string>(&fallback);
+    specs_.push_back(Spec{name, fallback, string != nullptr ? "\"" + *string + "\"" : text, help});
     return *this;
   }
 
-  void check_type(const Spec& spec) const {
-    switch (spec.type) {
-      case Type::string:
-        return;
-      case Type::integer:
-        if (!parse_int(spec.value)) fail_type(spec, "an integer");
-        return;
-      case Type::real:
-        if (!parse_double(spec.value)) fail_type(spec, "a number");
-        return;
-      case Type::boolean:
-        if (spec.value != "true" && spec.value != "false" && spec.value != "1" &&
-            spec.value != "0" && spec.value != "yes" && spec.value != "no") {
-          fail_type(spec, "a boolean (true/false/1/0/yes/no)");
-        }
-        return;
+  /// Parses `text` as the type `value` holds into `value`; false if it is not one.
+  static bool assign(KnobValue& value, const std::string& text) {
+    if (std::holds_alternative<long long>(value)) {
+      const auto parsed = parse_int(text);
+      if (parsed) value = *parsed;
+      return parsed.has_value();
     }
+    if (std::holds_alternative<double>(value)) {
+      const auto parsed = parse_double(text);
+      if (parsed) value = *parsed;
+      return parsed.has_value();
+    }
+    if (std::holds_alternative<bool>(value)) {
+      const bool yes = text == "true" || text == "1" || text == "yes";
+      value = yes;
+      return yes || text == "false" || text == "0" || text == "no";
+    }
+    value = text;
+    return true;
   }
 
-  [[noreturn]] void fail_type(const Spec& spec, const char* expected) const {
-    std::fprintf(stderr, "%s: flag --%s expects %s, got '%s'\n", program_.c_str(),
-                 spec.name.c_str(), expected, spec.value.c_str());
-    std::exit(2);
+  template <typename T>
+  [[nodiscard]] const T& typed(const std::string& name) const {
+    const Spec& spec = find(name);
+    if (!std::holds_alternative<T>(spec.value)) {
+      std::fprintf(stderr, "%s: flag --%s read with the wrong type\n", program_.c_str(),
+                   name.c_str());
+      std::exit(2);
+    }
+    return std::get<T>(spec.value);
   }
 
-  [[nodiscard]] const Spec& find(const std::string& name, Type type) const {
+  [[nodiscard]] const Spec& find(const std::string& name) const {
     for (const auto& spec : specs_) {
-      if (spec.name != name) continue;
-      if (spec.type != type) {
-        std::fprintf(stderr, "%s: flag --%s read with the wrong type\n", program_.c_str(),
-                     name.c_str());
-        std::exit(2);
-      }
-      return spec;
+      if (spec.name == name) return spec;
     }
     std::fprintf(stderr, "%s: flag --%s read but never declared\n", program_.c_str(),
                  name.c_str());
     std::exit(2);
-  }
-
-  static const char* type_name(Type type) noexcept {
-    switch (type) {
-      case Type::string: return "string";
-      case Type::integer: return "int";
-      case Type::real: return "float";
-      case Type::boolean: return "bool";
-    }
-    return "?";
   }
 
   std::string program_;

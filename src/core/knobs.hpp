@@ -4,15 +4,23 @@
 // trade-off among the various simple and complex IS performance metrics" —
 // NodeConfig gathers the LIS-side knobs, ManagerConfig the ISM-side ones,
 // and describe() renders any configuration for logs and experiment records.
+//
+// Each daemon knob is declared once, as one row of a knob table (knobs.cpp):
+// the daemons' flags, their --help text and range checks, the single-field
+// checks of validate() and the describe() dump are all generated from the
+// rows. Defaults live only in the config structs.
 #pragma once
 
+#include <span>
 #include <string>
+#include <variant>
 
 #include "clock/sync_service.hpp"
 #include "ism/gateway.hpp"
 #include "ism/ism.hpp"
 #include "ism/relay.hpp"
 #include "lis/exs_config.hpp"
+#include "sim/fault_injector.hpp"
 
 namespace brisk {
 
@@ -60,5 +68,41 @@ struct ManagerConfig {
 /// Human-readable knob dump (one "key = value" per line).
 std::string describe(const NodeConfig& config);
 std::string describe(const ManagerConfig& config);
+
+/// A knob's value as its flag, its range check and its dump line see it.
+using KnobValue = std::variant<long long, double, bool, std::string>;
+
+/// How a knob row reads and writes its knob. `get` also gives the flag its
+/// default, read from a default-constructed Config. A row without `set` is
+/// a flag the daemon main reads itself.
+template <typename Config>
+struct KnobField {
+  KnobValue (*get)(const Config&) = nullptr;
+  Status (*set)(Config&, const KnobValue&) = nullptr;
+};
+
+/// One row of a knob table. Tables list their rows in --help order;
+/// describe() prints the rows that have a key in ascending `dump` order.
+template <typename Config>
+struct Knob {
+  const char* flag;  // command-line name; nullptr for a knob only the dump shows
+  const char* key;   // describe() key; nullptr for a flag the dump leaves out
+  int dump;
+  KnobField<Config> field;
+  long long min;     // inclusive range of a numeric knob
+  long long max;
+  const char* help;
+  bool (*shown)(const Config&) = nullptr;  // describe() prints the row only when true
+};
+
+/// "" when `value` is text, a boolean or a number in [min, max]; otherwise
+/// "must be in [min, max], got <value>".
+std::string knob_range_error(const KnobValue& value, long long min, long long max);
+
+/// The knob tables: brisk_ism's, brisk_exs's, and the outbound
+/// fault-injection flags both daemons declare after their own.
+std::span<const Knob<ManagerConfig>> manager_knobs();
+std::span<const Knob<NodeConfig>> node_knobs();
+std::span<const Knob<sim::FaultPlan>> fault_knobs();
 
 }  // namespace brisk

@@ -72,7 +72,7 @@ struct IsmConfig {
   /// services itself; N > 1 runs N shard workers plus a k-way merger thread.
   std::size_t sorter_shards = 1;
   /// Depth (records) of each ordering shard's SPSC lanes in sharded mode.
-  std::size_t shard_queue_records = 4096;
+  std::size_t shard_queue_records = PipelineConfig{}.shard_queue_records;
   /// Period of the one-line periodic stats log (--stats-interval); 0 = off.
   /// The line is composed from the same metrics snapshot the metrics
   /// records are built from.

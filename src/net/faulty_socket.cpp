@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 
 #include "net/frame.hpp"
@@ -104,6 +105,19 @@ Status FaultySocket::write_frame(TcpSocket& socket, FrameSendBuffer& outbox,
   }
   if (!st) return st;
   return outbox.pump(socket);
+}
+
+std::string to_string(const FaultStats& stats) {
+  char buf[192];
+  std::snprintf(buf, sizeof buf,
+                "faults injected: %llu/%llu frames dropped, %llu stalled, %llu truncated, "
+                "%llu duplicated",
+                static_cast<unsigned long long>(stats.dropped),
+                static_cast<unsigned long long>(stats.frames),
+                static_cast<unsigned long long>(stats.stalled),
+                static_cast<unsigned long long>(stats.truncated),
+                static_cast<unsigned long long>(stats.duplicated));
+  return buf;
 }
 
 }  // namespace brisk::net

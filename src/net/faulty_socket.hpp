@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "common/byte_buffer.hpp"
 #include "common/error.hpp"
@@ -50,6 +51,10 @@ struct FaultStats {
   std::uint64_t duplicated = 0;
   TimeMicros stalled_us_total = 0;
 };
+
+/// "faults injected: D/N frames dropped, ..." — the footer line a daemon
+/// prints after a run with fault injection on.
+std::string to_string(const FaultStats& stats);
 
 class FaultySocket {
  public:

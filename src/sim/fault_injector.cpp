@@ -14,6 +14,11 @@ Status FaultPlan::validate() const {
   return Status::ok();
 }
 
+bool FaultPlan::enabled() const noexcept {
+  return drop_probability > 0 || duplicate_probability > 0 || truncate_probability > 0 ||
+         stall_probability > 0 || stall_every > 0;
+}
+
 FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {}
 
 net::FaultDecision FaultInjector::decide(std::uint64_t frame_index, ByteSpan payload) {

@@ -34,6 +34,8 @@ struct FaultPlan {
   bool spare_control_frames = true;
 
   [[nodiscard]] Status validate() const;
+  /// True when the plan can inject any fault at all.
+  [[nodiscard]] bool enabled() const noexcept;
 };
 
 class FaultInjector {

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,8 +19,8 @@
 #include "core/brisk_node.hpp"
 #include "shm/shared_region.hpp"
 
-#ifndef BRISK_APPS_DIR
-#error "BRISK_APPS_DIR must be defined by the build"
+#if !defined(BRISK_APPS_DIR) || !defined(BRISK_TESTDATA_DIR)
+#error "BRISK_APPS_DIR and BRISK_TESTDATA_DIR must be defined by the build"
 #endif
 
 namespace brisk {
@@ -204,6 +206,13 @@ TEST(AppsTest, BadOptionValuesExitTwo) {
        "--node"},
       {"brisk_exs", {"--node", "4294967295", "--shm", "/brisk-apps-unused", "--ism-port", "1"},
        "--node"},
+      // Once cast unchecked: a port past 65535 wrapped, and a zero or
+      // negative sync period or a negative frame or replenish period ran.
+      {"brisk_ism", {"--consumer-port", "70000"}, "--consumer-port"},
+      {"brisk_ism", {"--sync-period-us", "0"}, "--sync-period-us"},
+      {"brisk_ism", {"--sync-period-us", "-5"}, "--sync-period-us"},
+      {"brisk_ism", {"--frame-us", "-5"}, "--frame-us"},
+      {"brisk_ism", {"--credit-replenish-us", "-1"}, "--credit-replenish-us"},
   };
   for (const Case& c : cases) {
     ChildProcess child = spawn(apps_dir + "/" + c.binary, c.args, STDERR_FILENO);
@@ -213,6 +222,24 @@ TEST(AppsTest, BadOptionValuesExitTwo) {
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
         << c.binary << " " << c.args[0] << ": " << err;
     EXPECT_NE(err.find(c.named), std::string::npos) << c.binary << ": " << err;
+  }
+}
+
+// --help of every binary is generated from its flag declarations (the
+// daemons' from their knob tables); it must match the reference text byte
+// for byte, so a table edit cannot silently reorder or reword a flag.
+TEST(AppsTest, HelpTextGolden) {
+  const std::string apps_dir = BRISK_APPS_DIR;
+  for (const std::string binary : {"brisk_ism", "brisk_exs", "brisk_consume"}) {
+    std::ifstream golden(std::string(BRISK_TESTDATA_DIR) + "/" + binary + ".help");
+    ASSERT_TRUE(golden.is_open()) << binary;
+    std::stringstream expected;
+    expected << golden.rdbuf();
+    ChildProcess child = spawn(apps_dir + "/" + binary, {"--help"});
+    const std::string help = read_until(child, std::string(1, '\0'));
+    const int status = child.terminate_and_wait();
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << binary;
+    EXPECT_EQ(help, expected.str()) << binary;
   }
 }
 

@@ -589,9 +589,16 @@ TEST(IntegrationTest, DescribeRendersKnobs) {
   const std::string node_desc = describe(fast_node_config(7));
   EXPECT_NE(node_desc.find("node = 7"), std::string::npos);
   EXPECT_NE(node_desc.find("exs.select_timeout_us = 2000"), std::string::npos);
-  const std::string manager_desc = describe(fast_manager_config());
+  ManagerConfig credited = fast_manager_config();
+  credited.ism.credit_window_records = 8192;
+  credited.ism.credit_window_bytes = 1 << 20;
+  const std::string manager_desc = describe(credited);
   EXPECT_NE(manager_desc.find("sync.algorithm = \"brisk\""), std::string::npos);
   EXPECT_NE(manager_desc.find("sorter.initial_frame_us = 5000"), std::string::npos);
+  // A credited run must be told apart from an uncredited one in the dump.
+  EXPECT_NE(manager_desc.find("ism.credit_window_records = 8192"), std::string::npos);
+  EXPECT_NE(manager_desc.find("ism.credit_window_bytes = 1048576"), std::string::npos);
+  EXPECT_NE(manager_desc.find("ism.credit_replenish_us = 20000"), std::string::npos);
 }
 
 }  // namespace
