@@ -54,8 +54,10 @@
 #      client suite (blocking flush, reconnect budget, writable toggling),
 #      the SPSC queue's capacity guard, the session table plus the
 #      window-update and ack-cadence tests (drained cells, regrant marks),
-#      and the flag layer and knob tables (member-pointer paths and setters
-#      run on every daemon start) with the daemon binaries they generate
+#      the flag layer and knob tables (member-pointer paths and setters
+#      run on every daemon start) with the daemon binaries they generate,
+#      and the pipeline and gateway run hand-over tests (sinks read spans
+#      over the pipeline's scratch)
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the window-update and ack-cadence tests, the session
 #      table, the flow-control property suite, the consumer-gateway
@@ -536,10 +538,11 @@ ctest --test-dir build-asan --output-on-failure -L resilience
 # the native codec; the upstream client's outbox and socket swaps across
 # reconnects; the SPSC queue's capacity guard; and the session table's
 # drained cells and regrant marks with the loopback window-update and
-# ack-cadence tests that drive them through a live ISM; and the flag layer
-# and knob tables, whose rows store member-pointer paths and setters.
+# ack-cadence tests that drive them through a live ISM; the flag layer
+# and knob tables, whose rows store member-pointer paths and setters; and
+# the run hand-over, whose sinks read spans over the pipeline's scratch.
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest'
+  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest|OrderingPipelineTest|GatewayTest'
 
 echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null

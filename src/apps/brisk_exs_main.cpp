@@ -81,15 +81,22 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "brisk_exs: warning: setpriority failed\n");
   }
 
-  auto node = attach ? BriskNode::attach(config) : BriskNode::create(config);
-  if (!node) {
-    std::fprintf(stderr, "brisk_exs: %s\n", node.status().to_string().c_str());
-    return 1;
-  }
+  // Usage errors exit 2 before anything is created, as in brisk_ism.
   Status plan_ok = fault_plan.validate();
   if (!plan_ok) {
     std::fprintf(stderr, "brisk_exs: %s\n", plan_ok.to_string().c_str());
     return 2;
+  }
+  Status config_ok = config.validate();
+  if (!config_ok) {
+    std::fprintf(stderr, "brisk_exs: %s\n", config_ok.to_string().c_str());
+    return 2;
+  }
+
+  auto node = attach ? BriskNode::attach(config) : BriskNode::create(config);
+  if (!node) {
+    std::fprintf(stderr, "brisk_exs: %s\n", node.status().to_string().c_str());
+    return 1;
   }
   auto exs = node.value()->connect_exs(ism_host, ism_port);
   if (!exs) {

@@ -18,8 +18,8 @@
 //
 //  * in-process — a Sink plus options; delivery stays synchronous on the
 //    pipeline's exit thread (this is what keeps the determinism grid
-//    byte-identical: the shm ring sees the same accept() sequence it always
-//    did). The classic ShmSink/PiclFileSink/CallbackSink/VoSink become
+//    byte-identical: the shm ring sees the same record sequence it always
+//    did, in runs). The classic ShmSink/PiclFileSink/CallbackSink/VoSink become
 //    built-in subscribers; the pipeline still talks to exactly one object.
 //  * TCP — brisk_ism --consumer-port starts a listener on the gateway's
 //    dedicated fan-out thread (net::Poller + FrameSendBuffer, the same
@@ -123,7 +123,7 @@ struct SubscriberStats {
 };
 
 /// The subscription gateway. A Sink, so the pipeline still talks to exactly
-/// one object; everything behind accept() is subscribers.
+/// one object; everything behind accept_run() is subscribers.
 class ConsumerGateway final : public Sink {
  public:
   using AggWindowFn = std::function<void(const tp::AggWindow&)>;
@@ -138,7 +138,11 @@ class ConsumerGateway final : public Sink {
   ConsumerGateway& operator=(const ConsumerGateway&) = delete;
 
   // ---- Sink (pipeline-facing) ----------------------------------------------
-  Status accept(const sensors::Record& record) override;
+  Status accept(const sensors::Record& record) override { return accept_run({&record, 1}).status; }
+  /// Filters each record per subscriber and hands every contiguous matched
+  /// stretch to a stream subscriber's sink in one call. Counters are exact
+  /// and bumped once per run; accepted is the whole run.
+  RunResult accept_run(std::span<const sensors::Record> run) override;
   Status flush() override;
   void tick(TimeMicros watermark) override;
   Status drain() override;
@@ -156,8 +160,8 @@ class ConsumerGateway final : public Sink {
   Status subscribe_aggregate(std::string name, AggWindowFn fn,
                              SubscriptionOptions options = {});
   /// Unregisters an in-process subscription; false if the name is unknown.
-  /// "No new records", not a synchronous barrier (an in-flight accept()
-  /// may still deliver once from its snapshot).
+  /// "No new records", not a synchronous barrier (an in-flight
+  /// accept_run() may still deliver its run from its snapshot).
   bool unsubscribe(const std::string& name);
   [[nodiscard]] std::shared_ptr<Sink> find(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> names() const;
@@ -277,7 +281,9 @@ class ConsumerGateway final : public Sink {
   void handle_frame(int fd, TcpSub& sub, ByteSpan payload);
   void handle_subscribe(int fd, TcpSub& sub, const tp::SubscribeRequest& req);
   void finish_tcp_subscription(TcpSub& sub);
-  void pump_lane();
+  /// Routes up to one slice of lane records into the subscriber queues.
+  /// True when the lane still holds records.
+  bool pump_lane();
   void route_record(const sensors::Record& record);
   void enqueue_frame(TcpSub& sub, std::shared_ptr<const ByteBuffer> frame);
   void enqueue_agg(TcpSub& sub, const tp::AggWindow& window);

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 
 #include "clock/sync_service.hpp"
 #include "ism/drop_policy.hpp"
@@ -317,6 +318,10 @@ class Ism {
   /// bypassing the sorter shards. Origin node ids are preserved.
   void handle_relay_batch(Connection& conn, tp::RelayBatch batch);
   void route_record(sensors::Record record);
+  /// The ordering pipeline's single exit (merged runs and out-of-band
+  /// drains alike): hands the run to the output and notes each node's
+  /// drained records for its credit window.
+  void deliver_run(std::span<const sensors::Record> run);
   /// Sink delivery of a traced record: stamps sink_delivery, feeds the
   /// stage-pair latency histograms, strips the annotation off the data
   /// record, and emits the span list as a trace record behind it.

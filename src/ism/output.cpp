@@ -27,17 +27,38 @@ Result<sensors::Record> decode_output_record(ByteSpan bytes) {
   return sensors::decode_native(bytes.subspan(kNodePrefixBytes), node);
 }
 
-Status ShmSink::accept(const sensors::Record& record) {
+RunResult Sink::accept_run(std::span<const sensors::Record> run) {
+  RunResult result;
+  for (const sensors::Record& record : run) {
+    Status st = accept(record);
+    if (st.is_ok()) {
+      ++result.accepted;
+    } else if (result.status.is_ok()) {
+      result.status = std::move(st);
+    }
+  }
+  return result;
+}
+
+RunResult ShmSink::accept_run(std::span<const sensors::Record> run) {
+  RunResult result;
+  std::uint64_t refused = 0;
   // Encoded on the stack like a NOTICE: no heap traffic on the merger thread.
   std::array<std::uint8_t, kMaxOutputRecordBytes> buf;
-  auto encoded = encode_output_into(record, buf);
-  if (!encoded) return encoded.status();
-  if (!ring_.try_push(encoded.value())) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return Status(Errc::buffer_full, "output ring full");
+  for (const sensors::Record& record : run) {
+    auto encoded = encode_output_into(record, buf);
+    if (!encoded) {
+      if (result.status.is_ok()) result.status = encoded.status();
+    } else if (!ring_.try_push(encoded.value())) {
+      ++refused;
+      if (result.status.is_ok()) result.status = Status(Errc::buffer_full, "output ring full");
+    } else {
+      ++result.accepted;
+    }
   }
-  delivered_.fetch_add(1, std::memory_order_relaxed);
-  return Status::ok();
+  if (result.accepted != 0) delivered_.fetch_add(result.accepted, std::memory_order_relaxed);
+  if (refused != 0) dropped_.fetch_add(refused, std::memory_order_relaxed);
+  return result;
 }
 
 }  // namespace brisk::ism

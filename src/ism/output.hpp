@@ -12,6 +12,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,24 @@
 
 namespace brisk::ism {
 
-/// One output path for sorted records. accept() takes each record as the
-/// sorter releases it; flush() is called on idle cycles and at shutdown.
+/// What a sink did with a run: how many records it took, and the first
+/// refusal or error (ok when it took them all).
+struct RunResult {
+  std::size_t accepted = 0;
+  Status status;
+};
+
+/// One output path for sorted records. The pipeline hands its released
+/// records over in runs through accept_run(); accept() takes one record.
+/// flush() is called on idle cycles and at shutdown.
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual Status accept(const sensors::Record& record) = 0;
+  /// A run of consecutive records in delivery order. Sinks with per-record
+  /// bookkeeping override it to pay that once per run; the default takes the
+  /// records one accept() at a time and keeps going past a refusal.
+  virtual RunResult accept_run(std::span<const sensors::Record> run);
   virtual Status flush() { return Status::ok(); }
   /// Advance notice of the merge's release watermark (the timestamp below
   /// which no further record will be delivered). Called from the ordering
@@ -51,11 +64,15 @@ class ShmSink final : public Sink {
  public:
   explicit ShmSink(shm::RingBuffer ring) : ring_(ring) {}
 
-  Status accept(const sensors::Record& record) override;
+  Status accept(const sensors::Record& record) override { return accept_run({&record, 1}).status; }
+  /// Encodes and pushes each record; a record the full ring refuses counts
+  /// as dropped and the rest of the run is still tried.
+  RunResult accept_run(std::span<const sensors::Record> run) override;
   [[nodiscard]] const char* name() const noexcept override { return "shm"; }
 
-  // accept() runs on the merger thread when the pipeline is sharded while
-  // stats readers poll from the ordering thread, so the counters are atomic.
+  // accept_run() runs on the merger thread when the pipeline is sharded while
+  // stats readers poll from the ordering thread, so the counters are atomic;
+  // each is bumped once per run.
   [[nodiscard]] std::uint64_t delivered() const noexcept {
     return delivered_.load(std::memory_order_relaxed);
   }

@@ -74,12 +74,21 @@ struct OrderingPipeline::Shard {
 
 OrderingPipeline::OrderingPipeline(const PipelineConfig& config, clk::Clock& clock,
                                    SinkFn sink, FlushFn flush, TachyonFn on_tachyon)
+    : OrderingPipeline(config, clock,
+                       RunSinkFn([sink = std::move(sink)](std::span<const sensors::Record> run) {
+                         for (const sensors::Record& record : run) sink(record);
+                       }),
+                       std::move(flush), std::move(on_tachyon)) {}
+
+OrderingPipeline::OrderingPipeline(const PipelineConfig& config, clk::Clock& clock,
+                                   RunSinkFn sink, FlushFn flush, TachyonFn on_tachyon)
     : config_(config),
       clock_(clock),
       sink_(std::move(sink)),
       flush_(std::move(flush)),
       cre_(config.cre, clock, std::move(on_tachyon)) {
   if (config_.shards == 0) config_.shards = 1;
+  cre_scratch_.reserve(kMaxSinkRun);
   shards_.reserve(config_.shards);
   heads_.resize(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -248,8 +257,8 @@ Status OrderingPipeline::drain() {
   for (std::size_t j = 0; j < relay_lanes_.size(); ++j) {
     RelayLane& lane = *relay_lanes_[j];
     std::vector<ShardOutput>& tail = tails[shards_.size() + j];
+    if (lane.drained) lane.drained->note_drained(lane.queue.size());
     for (sensors::Record& queued : lane.queue) {
-      if (lane.drained) lane.drained->note_drained();
       tail.push_back(ShardOutput{std::move(queued), false});
     }
     lane.queue.clear();
@@ -380,10 +389,12 @@ TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
       BRISK_LOG_WARN << "shard sorter push failed: " << st.to_string();
     }
   }
-  shard.sorter->service();
-  // Publish after servicing: everything at or below now - T has left the
-  // sorter, so future in-order emissions are strictly above the watermark.
+  // The promise is taken from the time and frame this service pass uses:
+  // everything at or below now - T leaves the sorter in it, so future
+  // in-order emissions are strictly above the watermark. A clock read after
+  // the pass would promise records the pass left pending.
   const TimeMicros wm = clock_.now() - shard.sorter->current_frame();
+  shard.sorter->service();
   if (wm > shard.watermark.load(std::memory_order_relaxed)) {
     shard.watermark.store(wm, std::memory_order_release);
   }
@@ -542,6 +553,9 @@ void OrderingPipeline::merge_step() {
       deliver(std::move(record));
       progressed = true;
     }
+    // The run's end (or, with nothing released, the out-of-band drains the
+    // refills routed) reaches the sink now.
+    hand_over();
     if (progressed) {
       merge_runs_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -567,7 +581,10 @@ void OrderingPipeline::merge_tails(std::vector<std::vector<ShardOutput>>& tails)
         best = i;
       }
     }
-    if (best == tails.size()) return;
+    if (best == tails.size()) {
+      hand_over();
+      return;
+    }
     sensors::Record record = std::move(tails[best][cursors[best]].record);
     ++cursors[best];
     if (merged_any_ && record.timestamp < last_merged_ts_) {
@@ -582,19 +599,14 @@ void OrderingPipeline::merge_tails(std::vector<std::vector<ShardOutput>>& tails)
 }
 
 void OrderingPipeline::deliver(sensors::Record record) {
-  merged_.fetch_add(1, std::memory_order_relaxed);
-  // Monotone max over the in-order release stream (single writer: whichever
-  // thread holds merger_mutex_). Out-of-band expiry drains skip this — a
-  // dead node's stale timestamps must not drag the watermark around.
-  if (record.timestamp > release_watermark_.load(std::memory_order_relaxed)) {
-    release_watermark_.store(record.timestamp, std::memory_order_release);
-  }
+  ++unpublished_merged_;
   if (record.trace) {
     record.trace->stamp(sensors::TraceStage::merge_release, clock_.now());
   }
-  cre_scratch_.clear();
+  const std::size_t from = cre_scratch_.size();
   cre_.process(std::move(record), cre_scratch_);
-  release_scratch();
+  stamp_cre_pass(from);
+  if (cre_scratch_.size() >= kMaxSinkRun) hand_over();
 }
 
 void OrderingPipeline::deliver_oob(sensors::Record record) {
@@ -602,24 +614,46 @@ void OrderingPipeline::deliver_oob(sensors::Record record) {
   // First CRE contact for these records (the matcher sits behind the
   // merge now): an expiry-drained reason may release a held consequence.
   // No merge_release stamp — these bypassed the merge, and the span should
-  // say so.
-  cre_scratch_.clear();
+  // say so. The caller's hand-over delivers them in order with the run.
+  const std::size_t from = cre_scratch_.size();
   cre_.process(std::move(record), cre_scratch_);
-  release_scratch();
+  stamp_cre_pass(from);
 }
 
 void OrderingPipeline::cre_service() {
-  cre_scratch_.clear();
+  const std::size_t from = cre_scratch_.size();
   cre_.service(cre_scratch_);
-  release_scratch();
+  stamp_cre_pass(from);
+  hand_over();
 }
 
-void OrderingPipeline::release_scratch() {
-  for (sensors::Record& ready : cre_scratch_) {
-    if (ready.trace) {
-      ready.trace->stamp(sensors::TraceStage::cre_pass, clock_.now());
+void OrderingPipeline::stamp_cre_pass(std::size_t from) {
+  for (std::size_t i = from; i < cre_scratch_.size(); ++i) {
+    if (cre_scratch_[i].trace) {
+      cre_scratch_[i].trace->stamp(sensors::TraceStage::cre_pass, clock_.now());
     }
-    sink_(ready);
+  }
+}
+
+void OrderingPipeline::hand_over() {
+  const std::span<const sensors::Record> ready(cre_scratch_);
+  std::uint64_t runs = 0;
+  for (std::size_t at = 0; at < ready.size(); at += kMaxSinkRun, ++runs) {
+    sink_(ready.subspan(at, std::min(kMaxSinkRun, ready.size() - at)));
+  }
+  cre_scratch_.clear();
+  if (runs != 0) sink_runs_.fetch_add(runs, std::memory_order_relaxed);
+  // Published only after the sink call: a reader of the watermark (the
+  // gateway closing aggregation windows) must never see it pass a record
+  // the sinks have not been handed. Single writer: whichever thread holds
+  // merger_mutex_. Out-of-band drains never move last_merged_ts_ — a dead
+  // node's stale timestamps must not drag the watermark around.
+  if (unpublished_merged_ != 0) {
+    merged_.fetch_add(unpublished_merged_, std::memory_order_relaxed);
+    unpublished_merged_ = 0;
+  }
+  if (merged_any_ && last_merged_ts_ > release_watermark_.load(std::memory_order_relaxed)) {
+    release_watermark_.store(last_merged_ts_, std::memory_order_release);
   }
 }
 
@@ -685,6 +719,7 @@ PipelineStats OrderingPipeline::stats() const {
   out.merged = merged_.load(std::memory_order_relaxed);
   out.merge_inversions = merge_inversions_.load(std::memory_order_relaxed);
   out.merge_runs = merge_runs_.load(std::memory_order_relaxed);
+  out.sink_runs = sink_runs_.load(std::memory_order_relaxed);
   out.submit_stalls = submit_stalls_.load(std::memory_order_relaxed);
   out.oob_records = oob_records_.load(std::memory_order_relaxed);
   return out;

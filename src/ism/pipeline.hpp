@@ -47,6 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -58,6 +59,11 @@
 namespace brisk::ism {
 
 struct DrainCell;  // session_table.hpp
+
+/// Most records one sink call carries. Longer release runs are handed over
+/// in pieces, so a long run neither holds the sinks back nor leaves the
+/// release watermark stale for its whole length.
+inline constexpr std::size_t kMaxSinkRun = 256;
 
 struct PipelineConfig {
   /// Ordering shards. 1 = one sorter driven by the caller's service()
@@ -83,6 +89,9 @@ struct PipelineStats {
   /// Release runs through the k-way merge: each run amortises one watermark
   /// scan over merged/merge_runs records (see merge_step).
   std::uint64_t merge_runs = 0;
+  /// Sink calls: each hands over up to kMaxSinkRun records, so
+  /// merged/sink_runs is the records per hand-over.
+  std::uint64_t sink_runs = 0;
   std::uint64_t submit_stalls = 0;     // input lane full, ordering thread spun
   /// Records drained out of band (session expiry), bypassing the merge.
   std::uint64_t oob_records = 0;
@@ -95,14 +104,18 @@ std::size_t shard_of_node(NodeId node, std::size_t shards) noexcept;
 
 class OrderingPipeline {
  public:
-  /// Sorted + CRE-ordered records leave through `sink`; `flush` is the
-  /// sink-flush hook (called from the merger thread when sharded, from
-  /// service() otherwise); `on_tachyon` must be thread-safe — it fires on
-  /// the merger thread when shards > 1.
+  /// Sorted + CRE-ordered records leave through `sink` in runs of at most
+  /// kMaxSinkRun records; `flush` is the sink-flush hook (called from the
+  /// merger thread when sharded, from service() otherwise); `on_tachyon`
+  /// must be thread-safe — it fires on the merger thread when shards > 1.
+  using RunSinkFn = std::function<void(std::span<const sensors::Record>)>;
   using SinkFn = std::function<void(const sensors::Record&)>;
   using FlushFn = std::function<void()>;
   using TachyonFn = std::function<void()>;
 
+  OrderingPipeline(const PipelineConfig& config, clk::Clock& clock, RunSinkFn sink,
+                   FlushFn flush, TachyonFn on_tachyon);
+  /// Per-record adapter: `sink` is called once per record of each run.
   OrderingPipeline(const PipelineConfig& config, clk::Clock& clock, SinkFn sink,
                    FlushFn flush, TachyonFn on_tachyon);
   ~OrderingPipeline();
@@ -175,13 +188,15 @@ class OrderingPipeline {
   [[nodiscard]] std::vector<std::size_t> shard_depths() const;
   [[nodiscard]] std::vector<TimeMicros> shard_frames() const;
   [[nodiscard]] PipelineStats stats() const;
-  /// Timestamp of the last record released through the k-way merge — the
-  /// merge's release watermark. Monotone except for genuinely late records
-  /// (already counted as merge_inversions); readable from any thread. The
-  /// consumer gateway closes aggregation windows against this, so a window
-  /// only closes once the merge has released past its end — a wall-clock
-  /// close could seal a window while a delayed in-window record is still
-  /// waiting in a sorter shard. INT64_MIN until the first release.
+  /// Newest timestamp released through the k-way merge — the merge's
+  /// release watermark. Monotone; readable from any thread. Published after
+  /// the sink call that carries the records it covers, so it never passes a
+  /// record the sinks have not been handed (a consequence the CRE matcher
+  /// holds is the one exception: it follows its reason). The consumer
+  /// gateway closes aggregation windows against this, so a window only
+  /// closes once the merge has released past its end — a wall-clock close
+  /// could seal a window while a delayed in-window record is still waiting
+  /// in a sorter shard. INT64_MIN until the first release.
   [[nodiscard]] TimeMicros release_watermark() const noexcept {
     return release_watermark_.load(std::memory_order_acquire);
   }
@@ -239,17 +254,24 @@ class OrderingPipeline {
   /// Final deterministic merge over recovered lane tails + flushed shard
   /// buffers (no watermark gating). Requires merger_mutex_.
   void merge_tails(std::vector<std::vector<ShardOutput>>& tails);
-  /// CRE + sink delivery of one merged record. Requires merger_mutex_.
+  /// Passes one merged record through the CRE matcher into cre_scratch_,
+  /// handing the scratch over once it holds kMaxSinkRun records. Requires
+  /// merger_mutex_.
   void deliver(sensors::Record record);
   void deliver_oob(sensors::Record record);
-  /// Releases timed-out CRE holds. Requires merger_mutex_.
+  /// Releases timed-out CRE holds and hands them over. Requires merger_mutex_.
   void cre_service();
-  /// Stamps cre_pass on traced scratch records and hands them to the sink.
-  void release_scratch();
+  /// Stamps cre_pass on the traced records the matcher appended to
+  /// cre_scratch_ from index `from` on.
+  void stamp_cre_pass(std::size_t from);
+  /// Hands cre_scratch_ to the sink in runs of at most kMaxSinkRun, then
+  /// publishes the merged count and the release watermark they cover.
+  /// Requires merger_mutex_.
+  void hand_over();
 
   PipelineConfig config_;
   clk::Clock& clock_;
-  SinkFn sink_;
+  RunSinkFn sink_;
   FlushFn flush_;
   CreMatcher cre_;
 
@@ -269,10 +291,13 @@ class OrderingPipeline {
   std::vector<std::optional<ShardOutput>> heads_;
   TimeMicros last_merged_ts_ = 0;
   bool merged_any_ = false;
-  /// Atomic mirror of last_merged_ts_ for cross-thread readers (see
-  /// release_watermark()).
+  /// Atomic mirror of last_merged_ts_ for cross-thread readers, published
+  /// by hand_over() (see release_watermark()).
   std::atomic<TimeMicros> release_watermark_{std::numeric_limits<TimeMicros>::min()};
+  /// CRE output not yet handed to the sink, in sink order.
   std::vector<sensors::Record> cre_scratch_;
+  /// Records merged since the last hand_over(); published into merged_ there.
+  std::uint64_t unpublished_merged_ = 0;
   std::thread merger_thread_;
   std::mutex merger_cv_mutex_;
   std::condition_variable merger_cv_;
@@ -283,6 +308,7 @@ class OrderingPipeline {
   std::atomic<std::uint64_t> merged_{0};
   std::atomic<std::uint64_t> merge_inversions_{0};
   std::atomic<std::uint64_t> merge_runs_{0};
+  std::atomic<std::uint64_t> sink_runs_{0};
   std::atomic<std::uint64_t> submit_stalls_{0};
   std::atomic<std::uint64_t> oob_records_{0};
 };

@@ -5,6 +5,17 @@
 
 namespace brisk::shm {
 
+namespace {
+
+/// Adds to a counter only its owning side writes (the producer's pushed and
+/// bytes_pushed, the consumer's popped): a plain load and store, no locked
+/// read-modify-write. Readers on other threads still see whole values.
+void bump_owned(std::atomic<std::uint64_t>& counter, std::uint64_t delta) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Result<RingBuffer> RingBuffer::init(void* memory, std::size_t data_capacity) {
   if (memory == nullptr) return Status(Errc::invalid_argument, "null memory");
   if (data_capacity < 64) return Status(Errc::invalid_argument, "ring capacity too small");
@@ -80,8 +91,8 @@ bool RingBuffer::try_push(ByteSpan record) noexcept {
   write_bytes(write_at, ByteSpan{reinterpret_cast<const std::uint8_t*>(&len), sizeof len});
   if (!record.empty()) write_bytes(write_at + kLengthBytes, record);
 
-  header_->pushed.fetch_add(1, std::memory_order_relaxed);
-  header_->bytes_pushed.fetch_add(record.size(), std::memory_order_relaxed);
+  bump_owned(header_->pushed, 1);
+  bump_owned(header_->bytes_pushed, record.size());
   header_->head.store(head + total, std::memory_order_release);
   return true;
 }
@@ -110,7 +121,7 @@ bool RingBuffer::try_pop(std::vector<std::uint8_t>& out) {
     const std::size_t old_size = out.size();
     out.resize(old_size + len);
     if (len != 0) read_bytes(tail + kLengthBytes, out.data() + old_size, len);
-    header_->popped.fetch_add(1, std::memory_order_relaxed);
+    bump_owned(header_->popped, 1);
     header_->tail.store(tail + kLengthBytes + len, std::memory_order_release);
     return true;
   }

@@ -39,6 +39,8 @@ class RingBuffer {
     std::uint64_t capacity;  // bytes in the data area
     alignas(64) std::atomic<std::uint64_t> head;   // producer cursor
     alignas(64) std::atomic<std::uint64_t> tail;   // consumer cursor
+    // Statistics. Each has one writer, which bumps it with a load and a
+    // store: pushed and bytes_pushed the producer, popped the consumer.
     alignas(64) std::atomic<std::uint64_t> pushed;
     std::atomic<std::uint64_t> popped;
     std::atomic<std::uint64_t> dropped;

@@ -4,6 +4,7 @@
 // and bytes per thread, and only inside a measured region (count_allocs),
 // so gtest's own bookkeeping and other threads never show up. It pins:
 //   - ShmSink::accept: 0 allocations per record, like a NOTICE;
+//   - ConsumerGateway::accept_run into a ShmSink: 0 per run of 256 records;
 //   - encode_native / encode_output_record: exactly 1 (the result buffer);
 //   - a gateway SUB_DATA frame: at most 2 (the shared block and its bytes).
 #include <gtest/gtest.h>
@@ -175,6 +176,48 @@ TEST_F(OutputAllocTest, ShmSinkAcceptMakesNoHeapAllocation) {
     }
     EXPECT_EQ(sink.delivered(), static_cast<std::uint64_t>(kRecordsPerCase));
   }
+}
+
+// The pipeline's hand-over: a 256-record run through the gateway's filter
+// loop into the shm sink's run path.
+TEST_F(OutputAllocTest, GatewayAndShmSinkRunMakeNoHeapAllocation) {
+  constexpr std::size_t kCapacity = 1u << 20;
+  constexpr std::size_t kRun = 256;
+  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(kCapacity));
+  auto ring = shm::RingBuffer::init(memory.data(), kCapacity);
+  ASSERT_TRUE(ring.is_ok());
+  auto gateway = ConsumerGateway::create(GatewayConfig{});
+  ASSERT_TRUE(gateway.is_ok());
+  auto sink = std::make_shared<ShmSink>(ring.value());
+  ASSERT_TRUE(gateway.value()->subscribe("shm", sink));
+  SubscriptionOptions sampled;
+  sampled.filter = SubscriptionFilter::parse("sample=4").value();
+  ASSERT_TRUE(gateway.value()->subscribe("sampled", std::make_shared<ShmSink>(ring.value()),
+                                         sampled));
+  std::vector<Record> run;
+  for (std::size_t i = 0; i < kRun; ++i) {
+    Record record = plain_record();
+    record.timestamp += static_cast<TimeMicros>(i);
+    run.push_back(std::move(record));
+  }
+  std::vector<std::uint8_t> popped;
+  popped.reserve(kMaxOutputRecordBytes);
+  for (int round = 0; round < 4; ++round) {
+    RunResult result;
+    const AllocCount n = count_allocs([&] { result = gateway.value()->accept_run(run); });
+    ASSERT_TRUE(result.status.is_ok());
+    EXPECT_EQ(n.calls, 0u);
+    EXPECT_EQ(n.bytes, 0u);
+    const AllocCount direct = count_allocs([&] { result = sink->accept_run(run); });
+    ASSERT_TRUE(result.status.is_ok());
+    EXPECT_EQ(result.accepted, kRun);
+    EXPECT_EQ(direct.calls, 0u);
+    while (!ring.value().empty()) {
+      popped.clear();
+      ASSERT_TRUE(ring.value().try_pop(popped));
+    }
+  }
+  EXPECT_EQ(sink->delivered(), 2 * 4 * kRun);
 }
 
 TEST_F(OutputAllocTest, OwningEncodersMakeExactlyOneAllocation) {

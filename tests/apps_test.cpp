@@ -213,6 +213,10 @@ TEST(AppsTest, BadOptionValuesExitTwo) {
       {"brisk_ism", {"--sync-period-us", "-5"}, "--sync-period-us"},
       {"brisk_ism", {"--frame-us", "-5"}, "--frame-us"},
       {"brisk_ism", {"--credit-replenish-us", "-1"}, "--credit-replenish-us"},
+      // A cross-field check once ran only inside BriskNode::create (exit 1).
+      {"brisk_exs",
+       {"--backoff-cap-us", "10", "--shm", "/brisk-apps-unused", "--ism-port", "1"},
+       "backoff cap below base"},
   };
   for (const Case& c : cases) {
     ChildProcess child = spawn(apps_dir + "/" + c.binary, c.args, STDERR_FILENO);

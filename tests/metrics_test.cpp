@@ -352,8 +352,8 @@ TEST_P(IsmMetricsTest, MetricsRecordsFlowThroughOrderingPipeline) {
   for (const char* name :
        {"ism.records_received", "ism.batches_received", "ism.connections_accepted",
         "ism.pipeline.submitted", "ism.pipeline.merged", "ism.sorter.pushed",
-        "ism.sessions", "ism.cre.matched", "ism.pipeline.merge_runs", "sort.late_records",
-        "test.custom"}) {
+        "ism.sessions", "ism.cre.matched", "ism.pipeline.merge_runs",
+        "ism.pipeline.sink_runs", "sort.late_records", "test.custom"}) {
     EXPECT_TRUE(last_value.count(name)) << "missing metric " << name;
   }
   // One delay-window gauge per ordering shard.
@@ -367,6 +367,10 @@ TEST_P(IsmMetricsTest, MetricsRecordsFlowThroughOrderingPipeline) {
   EXPECT_GE(last_value["ism.batches_received"], 1u);
   EXPECT_EQ(last_value["test.custom"], 5u);
   EXPECT_GE(last_value["ism.pipeline.submitted"], 3u);
+  // merged / sink_runs is the records per hand-over: at least one run, and
+  // never more runs than records.
+  EXPECT_GE(last_value["ism.pipeline.sink_runs"], 1u);
+  EXPECT_LE(last_value["ism.pipeline.sink_runs"], last_value["ism.pipeline.merged"]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, IsmMetricsTest, ::testing::Values(1, 2, 4),
