@@ -10,12 +10,16 @@
 // for the full knob list (generated from the knob tables in core/knobs.cpp).
 #include <csignal>
 #include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "apps/flag_parser.hpp"
 #include "common/logging.hpp"
 #include "core/brisk_manager.hpp"
 #include "core/version.hpp"
 #include "metrics/flight_recorder.hpp"
+#include "metrics/metrics.hpp"
 #include "sim/fault_injector.hpp"
 
 namespace {
@@ -27,6 +31,45 @@ void handle_signal(int) {
 }
 
 void handle_dump_signal(int) { brisk::metrics::request_flight_dump(); }
+
+/// The exit summary's "loss:" line: every counter that names where an
+/// admitted record went other than to a sink, read from the same metrics
+/// snapshot the 0xFF01 records carry. Subscribers with queue drops are
+/// listed by name; the shm sink's refusals are its matched minus delivered.
+std::string loss_line(const std::vector<brisk::metrics::Sample>& samples) {
+  auto value = [&samples](std::string_view name) -> unsigned long long {
+    for (const brisk::metrics::Sample& sample : samples) {
+      if (sample.name == name) return sample.value;
+    }
+    return 0;
+  };
+  const std::string_view prefix = "ism.gateway.sub.";
+  const std::string_view suffix = ".dropped";
+  unsigned long long sub_drops = 0;
+  std::string by_subscriber;
+  for (const brisk::metrics::Sample& sample : samples) {
+    std::string_view name = sample.name;
+    if (sample.value == 0 || !name.starts_with(prefix) || !name.ends_with(suffix)) continue;
+    name.remove_prefix(prefix.size());
+    name.remove_suffix(suffix.size());
+    sub_drops += sample.value;
+    by_subscriber += by_subscriber.empty() ? " (" : ", ";
+    by_subscriber += std::string(name) + " " + std::to_string(sample.value);
+  }
+  if (!by_subscriber.empty()) by_subscriber += ")";
+  // Matched is read before delivered, so a run delivered in between could
+  // make the difference negative; after drain() nothing is in flight.
+  const unsigned long long shm_matched = value("ism.gateway.sub.shm.matched");
+  const unsigned long long shm_delivered = value("ism.gateway.sub.shm.delivered");
+  const unsigned long long shm_refused =
+      shm_matched > shm_delivered ? shm_matched - shm_delivered : 0;
+  return "loss: " + std::to_string(value("ism.gateway.lane_drops")) + " gateway lane drops, " +
+         std::to_string(sub_drops) + " subscriber queue drops" + by_subscriber + ", " +
+         std::to_string(value("ism.gateway.tcp_evicted")) + " subscribers evicted, " +
+         std::to_string(shm_refused) + " shm ring refusals, " +
+         std::to_string(value("ism.sorter.overflow_drops")) + " sorter overflow drops, " +
+         std::to_string(value("ism.pipeline.merge_inversions")) + " merge inversions";
+}
 
 }  // namespace
 
@@ -109,6 +152,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.batch_seq_gaps),
               static_cast<unsigned long long>(stats.idle_disconnects),
               static_cast<unsigned long long>(stats.sessions_expired));
+  std::printf("%s\n", loss_line(manager.value()->ism().metrics().snapshot()).c_str());
   if (config.ism.credit_window_records > 0) {
     std::printf("credit: %llu grants (%llu zero-window), %llu half-window updates, "
                 "%llu drain window updates\n",

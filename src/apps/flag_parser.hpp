@@ -1,22 +1,20 @@
 // Command-line flag handling shared by the BRISK executables.
 //
-// Two layers:
-//  * FlagParser — the minimal --key=value / --key value tokenizer. No
-//    external dependencies, fails loudly on unknown flags.
-//  * FlagRegistry — a declarative registry on top of it: each flag is
-//    declared once with (name, type, default, help), --help output is
-//    generated from the declarations, unknown flags and type errors are
-//    rejected against them. The daemon mains declare their knob tables
-//    (core/knobs.hpp) with add_knobs and copy the parsed values into their
-//    configs with apply_knobs; nothing is stringly-typed twice.
+// FlagRegistry is a declarative flag table: each flag is declared once with
+// (name, type, default, help), --help output is generated from the
+// declarations, and unknown flags and type errors are rejected against
+// them. Flags are written --key=value, --key value, or bare --key for a
+// boolean. The daemon mains declare their knob tables (core/knobs.hpp)
+// with add_knobs and copy the parsed values into their configs with
+// apply_knobs; nothing is stringly-typed twice.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,82 +23,6 @@
 #include "core/knobs.hpp"
 
 namespace brisk::apps {
-
-class FlagParser {
- public:
-  FlagParser(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      arg = arg.substr(2);
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "true";  // bare boolean flag
-      }
-    }
-  }
-
-  [[nodiscard]] std::optional<std::string> get(const std::string& key) {
-    auto it = values_.find(key);
-    if (it == values_.end()) return std::nullopt;
-    consumed_.insert({key, true});
-    return it->second;
-  }
-
-  [[nodiscard]] std::string get_string(const std::string& key, const std::string& fallback) {
-    auto v = get(key);
-    return v.has_value() ? *v : fallback;
-  }
-
-  [[nodiscard]] long long get_int(const std::string& key, long long fallback) {
-    auto v = get(key);
-    if (!v.has_value()) return fallback;
-    auto parsed = parse_int(*v);
-    if (!parsed) {
-      std::fprintf(stderr, "flag --%s expects an integer, got '%s'\n", key.c_str(), v->c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
-
-  [[nodiscard]] double get_double(const std::string& key, double fallback) {
-    auto v = get(key);
-    if (!v.has_value()) return fallback;
-    auto parsed = parse_double(*v);
-    if (!parsed) {
-      std::fprintf(stderr, "flag --%s expects a number, got '%s'\n", key.c_str(), v->c_str());
-      std::exit(2);
-    }
-    return *parsed;
-  }
-
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) {
-    auto v = get(key);
-    if (!v.has_value()) return fallback;
-    return *v == "true" || *v == "1" || *v == "yes";
-  }
-
-  /// Exits with an error if any provided flag was never consumed.
-  void reject_unknown() {
-    for (const auto& [key, value] : values_) {
-      if (consumed_.find(key) == consumed_.end()) {
-        std::fprintf(stderr, "unknown flag: --%s\n", key.c_str());
-        std::exit(2);
-      }
-    }
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::map<std::string, bool> consumed_;
-};
 
 /// Declarative flag table: declare every flag once, parse against the
 /// declarations, read typed values by name. `--help` prints the generated
@@ -160,22 +82,27 @@ class FlagRegistry {
   /// Tokenizes argv, handles --help, and type-checks every provided value
   /// against its declaration (even values the program never reads).
   void parse(int argc, char** argv) {
-    FlagParser parser(argc, argv);
-    if (parser.get("help").has_value()) {
+    std::map<std::string, std::string> values = tokenize(argc, argv);
+    if (values.count("help") != 0) {
       std::printf("%s", help_text().c_str());
       std::exit(0);
     }
     for (auto& spec : specs_) {
-      auto v = parser.get(spec.name);
-      if (!v.has_value()) continue;
+      const auto it = values.find(spec.name);
+      if (it == values.end()) continue;
       spec.provided = true;
-      if (!assign(spec.value, *v)) {
+      if (!assign(spec.value, it->second)) {
         std::fprintf(stderr, "%s: flag --%s expects %s, got '%s'\n", program_.c_str(),
-                     spec.name.c_str(), kTypes[spec.value.index()].expected, v->c_str());
+                     spec.name.c_str(), kTypes[spec.value.index()].expected,
+                     it->second.c_str());
         std::exit(2);
       }
+      values.erase(it);
     }
-    parser.reject_unknown();
+    if (!values.empty()) {
+      std::fprintf(stderr, "unknown flag: --%s\n", values.begin()->first.c_str());
+      std::exit(2);
+    }
   }
 
   [[nodiscard]] std::string str(const std::string& name) const { return typed<std::string>(name); }
@@ -209,19 +136,18 @@ class FlagRegistry {
   }
 
   [[nodiscard]] std::string help_text() const {
+    // Every help text starts in one column, two spaces past the longest name.
+    std::size_t width = std::string("help").size();
+    for (const auto& spec : specs_) width = std::max(width, spec.name.size());
     std::string out = "usage: " + program_ + " [--flag[=value] ...]\n  " + summary_ + "\n\n";
+    auto line = [&out, width](const std::string& name, const std::string& text) {
+      out += "  --" + name + std::string(width + 2 - name.size(), ' ') + text + "\n";
+    };
     for (const auto& spec : specs_) {
-      char head[96];
-      std::snprintf(head, sizeof head, "  --%-24s", spec.name.c_str());
-      out += head;
-      out += spec.help;
-      out += " [";
-      out += kTypes[spec.value.index()].name;
-      out += ", default: ";
-      out += spec.fallback;
-      out += "]\n";
+      line(spec.name, spec.help + " [" + kTypes[spec.value.index()].name +
+                          ", default: " + spec.fallback + "]");
     }
-    out += "  --help                     print this help and exit\n";
+    line("help", "print this help and exit");
     return out;
   }
 
@@ -244,6 +170,30 @@ class FlagRegistry {
                                         {"float", "a number"},
                                         {"bool", "a boolean (true/false/1/0/yes/no)"},
                                         {"string", "a string"}};
+
+  /// Splits argv into flag → value: --key=value, --key value, or a bare
+  /// --key (value "true") when the next argument is another flag or absent.
+  /// A positional argument exits 2.
+  static std::map<std::string, std::string> tokenize(int argc, char** argv) {
+    std::map<std::string, std::string> values;
+    for (int i = 1; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
+        std::exit(2);
+      }
+      arg = arg.substr(2);
+      const std::size_t eq = arg.find('=');
+      if (eq != std::string::npos) {
+        values[arg.substr(0, eq)] = arg.substr(eq + 1);
+      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        values[arg] = argv[++i];
+      } else {
+        values[arg] = "true";
+      }
+    }
+    return values;
+  }
 
   FlagRegistry& declare(const std::string& name, KnobValue fallback, const std::string& help) {
     for (const auto& spec : specs_) {

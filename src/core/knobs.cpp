@@ -334,8 +334,6 @@ constexpr Knob<N> kNodeKnobs[] = {
      kU32, "replay buffer cap in batches"},
     {"replay-bytes", "exs.replay_buffer_bytes", 130, at<&N::exs, &E::replay_buffer_bytes>, 0, kMax,
      "replay buffer cap in bytes (0 = unlimited)"},
-    {"exs-pace", "exs.pace", 140, at<&N::exs, &E::pace>, 0, 1,
-     "honour ISM credit grants (pace sends to the granted window)"},
     {"backoff-base-us", "exs.reconnect_backoff_base_us", 150,
      at<&N::exs, &E::reconnect_backoff_base_us>, 1, kDayUs, "reconnect backoff base"},
     {"backoff-cap-us", "exs.reconnect_backoff_cap_us", 160,

@@ -244,14 +244,6 @@ void ReaderThread::erase_if_done(int fd) {
   }
 }
 
-std::size_t least_loaded_reader(const std::vector<std::size_t>& loads) noexcept {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < loads.size(); ++i) {
-    if (loads[i] < loads[best]) best = i;
-  }
-  return best;
-}
-
 ReaderImbalance plan_reader_migration(const std::vector<double>& rates,
                                       const std::vector<std::size_t>& connections,
                                       double ratio, double min_rate) noexcept {

@@ -102,18 +102,14 @@ struct ReaderConfig {
   TimeMicros poll_timeout_us = 10'000;  // reader poll cycle
 };
 
-/// Accept-time placement: the index of the reader with the fewest live
-/// connections (lowest index wins ties, so placement is deterministic).
-/// Round-robin degrades badly once long-lived connections churn — a reader
-/// can end up owning most of the survivors; picking the least-loaded reader
-/// at accept keeps the pool balanced without migrating established fds.
-std::size_t least_loaded_reader(const std::vector<std::size_t>& loads) noexcept;
-
-/// Rate-aware placement: the reader with the lowest drained-record rate
+/// Accept-time placement: the reader with the lowest drained-record rate
 /// wins; connection counts only break rate ties (then lowest index, so
 /// placement stays deterministic). Connection counts alone misplace badly
 /// when traffic is skewed — one firehose node outweighs any number of idle
-/// connections, and the decayed record rate is what measures that.
+/// connections, and the decayed record rate is what measures that. Among
+/// equally idle readers this is least-connections placement, which keeps
+/// the pool balanced under churn where round-robin lets one reader end up
+/// owning most of the long-lived survivors.
 std::size_t least_loaded_reader(const std::vector<double>& rates,
                                 const std::vector<std::size_t>& connections) noexcept;
 

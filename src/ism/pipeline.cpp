@@ -51,14 +51,11 @@ struct OrderingPipeline::Shard {
   /// Emissions while set are expiry drains: they ride the lane marked
   /// out_of_band.
   bool oob_mode = false;
-  /// When non-null (drain), emissions are collected here instead of
-  /// entering the lane — the final merge wants them as a plain vector.
-  std::vector<ShardOutput>* collect = nullptr;
   /// The output lane's overflow, read in order behind it: emissions that
-  /// found the lane full while a worker was stopping, or — without workers
-  /// — while the merge was gated. A worker fills it only once stopping and
-  /// drain() collects it after the join; without workers the ordering
-  /// thread owns both ends.
+  /// found the lane full once the pipeline was stopping, or — without
+  /// workers — while the merge was gated. A worker fills it only once
+  /// stopping and the merge reads it only after the join; without workers
+  /// the ordering thread owns both ends.
   std::deque<ShardOutput> spill;
 
   std::mutex cmd_mutex;
@@ -66,10 +63,8 @@ struct OrderingPipeline::Shard {
 
   bool pending_signal = false;  // shard thread only: merger wakeup owed
 
+  Wakeup wakeup;
   std::thread thread;
-  std::mutex cv_mutex;
-  std::condition_variable cv;
-  bool signaled = false;
 };
 
 OrderingPipeline::OrderingPipeline(const PipelineConfig& config, clk::Clock& clock,
@@ -114,10 +109,10 @@ void OrderingPipeline::start_threads() {
 }
 
 void OrderingPipeline::stop_threads() {
-  if (!threads_running_.load(std::memory_order_acquire)) return;
   stop_.store(true, std::memory_order_release);
-  for (auto& shard : shards_) signal_shard(*shard);
-  signal_merger();
+  if (!threads_running_.load(std::memory_order_acquire)) return;
+  for (auto& shard : shards_) shard->wakeup.signal();
+  merger_wakeup_.signal();
   // Shards first: they may be spinning on a full output lane, and the spin
   // breaks out (to the spill vector) only on stop_ — never wait on the
   // merger to make room for them.
@@ -128,28 +123,20 @@ void OrderingPipeline::stop_threads() {
   threads_running_.store(false, std::memory_order_release);
 }
 
-void OrderingPipeline::signal_shard(Shard& shard) {
-  bool notify = false;
+void OrderingPipeline::Wakeup::signal() {
   {
-    std::lock_guard<std::mutex> lk(shard.cv_mutex);
-    if (!shard.signaled) {
-      shard.signaled = true;
-      notify = true;
-    }
+    std::lock_guard<std::mutex> lk(mutex);
+    if (signaled) return;
+    signaled = true;
   }
-  if (notify) shard.cv.notify_one();
+  cv.notify_one();
 }
 
-void OrderingPipeline::signal_merger() {
-  bool notify = false;
-  {
-    std::lock_guard<std::mutex> lk(merger_cv_mutex_);
-    if (!merger_signaled_) {
-      merger_signaled_ = true;
-      notify = true;
-    }
-  }
-  if (notify) merger_cv_.notify_one();
+void OrderingPipeline::Wakeup::wait(TimeMicros timeout_us, const std::atomic<bool>& stop) {
+  std::unique_lock<std::mutex> lk(mutex);
+  cv.wait_for(lk, std::chrono::microseconds(timeout_us),
+              [&] { return signaled || stop.load(std::memory_order_relaxed); });
+  signaled = false;
 }
 
 // ---- ordering-thread API ----------------------------------------------------
@@ -165,11 +152,11 @@ Status OrderingPipeline::submit(sensors::Record record) {
         stalled = true;
         submit_stalls_.fetch_add(1, std::memory_order_relaxed);
       }
-      signal_shard(shard);
+      shard.wakeup.signal();
       std::this_thread::yield();
     }
     if (!stop_.load(std::memory_order_relaxed)) {
-      signal_shard(shard);
+      shard.wakeup.signal();
       return Status::ok();
     }
     // fall through: mid-shutdown straggler, push inline below
@@ -205,7 +192,7 @@ std::size_t OrderingPipeline::remove_node(NodeId node) {
       std::lock_guard<std::mutex> lk(shard.cmd_mutex);
       shard.removals.push_back(node);
     }
-    signal_shard(shard);
+    shard.wakeup.signal();
     return 0;  // drained asynchronously; lands in stats().oob_records
   }
   std::size_t drained;
@@ -219,52 +206,24 @@ std::size_t OrderingPipeline::remove_node(NodeId node) {
 }
 
 Status OrderingPipeline::drain() {
+  // stop_ stays set from here on: no emission below merges part-way through
+  // a flush (see push_output).
   stop_threads();
-  std::vector<std::vector<ShardOutput>> tails(shards_.size() + relay_lanes_.size());
-  {
-    // Recover heads the live merge had popped but not yet released. The
-    // threads are joined, so lock order versus state_mutex is moot here.
-    std::lock_guard<std::mutex> lk(merger_mutex_);
-    for (std::size_t i = 0; i < heads_.size(); ++i) {
-      if (heads_[i]) {
-        tails[i].push_back(std::move(*heads_[i]));
-        heads_[i].reset();
-      }
-    }
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard<std::mutex> lk(shard.state_mutex);
-    // Emission order within a shard: lane contents, then spill (emitted
-    // when the lane was already full), then whatever the flush releases.
-    ShardOutput out;
-    while (shard.output.try_pop(out)) tails[i].push_back(std::move(out));
-    for (ShardOutput& spilled : shard.spill) tails[i].push_back(std::move(spilled));
-    shard.spill.clear();
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard->state_mutex);
     sensors::Record record;
-    while (shard.input.try_pop(record)) {
-      Status st = shard.sorter->push(std::move(record));
+    while (shard->input.try_pop(record)) {
+      Status st = shard->sorter->push(std::move(record));
       if (!st) return st;
     }
-    shard.collect = &tails[i];
-    shard.sorter->flush_all();
-    shard.collect = nullptr;
-    shard.flushed.store(true, std::memory_order_release);
+    shard->sorter->flush_all();
   }
+  // Every stream is complete: nothing gates the merge any more, so the live
+  // merge releases every lane to its end.
   std::lock_guard<std::mutex> lk(merger_mutex_);
-  // Relay lanes are already ordered streams: their leftovers become tails
-  // verbatim and stop gating (the relay's stream is over for this run).
-  for (std::size_t j = 0; j < relay_lanes_.size(); ++j) {
-    RelayLane& lane = *relay_lanes_[j];
-    std::vector<ShardOutput>& tail = tails[shards_.size() + j];
-    if (lane.drained) lane.drained->note_drained(lane.queue.size());
-    for (sensors::Record& queued : lane.queue) {
-      tail.push_back(ShardOutput{std::move(queued), false});
-    }
-    lane.queue.clear();
-    lane.flushed.store(true, std::memory_order_release);
-  }
-  merge_tails(tails);
+  for (auto& shard : shards_) shard->flushed.store(true, std::memory_order_release);
+  for (auto& lane : relay_lanes_) lane->flushed.store(true, std::memory_order_release);
+  merge_step();
   cre_service();
   return Status::ok();
 }
@@ -308,14 +267,14 @@ void OrderingPipeline::advance_relay_watermark(std::size_t lane_index, TimeMicro
   // The merge may be waiting on an idle shard's watermark, which the shard
   // otherwise republishes only every poll timeout: wake the shards too, and
   // they signal the merger once they have advanced it.
-  for (auto& shard : shards_) signal_shard(*shard);
-  signal_merger();
+  for (auto& shard : shards_) shard->wakeup.signal();
+  merger_wakeup_.signal();
 }
 
 void OrderingPipeline::flush_relay_lane(std::size_t lane_index) {
   if (lane_index >= relay_lanes_.size()) return;
   relay_lanes_[lane_index]->flushed.store(true, std::memory_order_release);
-  if (threaded()) signal_merger();
+  if (threaded()) merger_wakeup_.signal();
 }
 
 void OrderingPipeline::resume_relay_lane(std::size_t lane_index) {
@@ -329,10 +288,6 @@ void OrderingPipeline::shard_emit(Shard& shard, sensors::Record record) {
   if (record.trace) {
     record.trace->stamp(sensors::TraceStage::sorter_release, clock_.now());
   }
-  if (shard.collect != nullptr) {
-    shard.collect->push_back(ShardOutput{std::move(record), shard.oob_mode});
-    return;
-  }
   push_output(shard, ShardOutput{std::move(record), shard.oob_mode});
 }
 
@@ -340,14 +295,19 @@ void OrderingPipeline::push_output(Shard& shard, ShardOutput out) {
   if (!threaded()) {
     // The calling thread is also the lane's only consumer, so it never
     // spins on the lane: a full lane merges, and what a gated merge keeps
-    // back queues in the spill behind it.
+    // back queues in the spill behind it. A stopped pipeline spills without
+    // merging: drain() flushes one shard at a time, and a merge part-way
+    // through could release another lane's records ahead of a late record
+    // the flushing shard has yet to emit.
     if (shard.spill.empty()) {
       if (shard.output.try_push(std::move(out))) return;
-      {
-        std::lock_guard<std::mutex> lk(merger_mutex_);
-        merge_step();
+      if (!stop_.load(std::memory_order_relaxed)) {
+        {
+          std::lock_guard<std::mutex> lk(merger_mutex_);
+          merge_step();
+        }
+        if (shard.output.try_push(std::move(out))) return;
       }
-      if (shard.output.try_push(std::move(out))) return;
     }
     shard.spill.push_back(std::move(out));
     return;
@@ -362,7 +322,7 @@ void OrderingPipeline::push_output(Shard& shard, ShardOutput out) {
     // Lane full: bounded backpressure on this shard's sorter. Wake the
     // merger now rather than at cycle end — it is the only consumer.
     shard.pending_signal = false;
-    signal_merger();
+    merger_wakeup_.signal();
     std::this_thread::yield();
   }
   shard.pending_signal = true;
@@ -421,15 +381,11 @@ void OrderingPipeline::shard_loop(Shard& shard) {
     }
     if (shard.pending_signal) {
       shard.pending_signal = false;
-      signal_merger();
+      merger_wakeup_.signal();
     }
     TimeMicros wait_us = config_.poll_timeout_us;
     if (due >= 0 && due < wait_us) wait_us = std::max(due, kMinLoopWaitUs);
-    std::unique_lock<std::mutex> lk(shard.cv_mutex);
-    shard.cv.wait_for(lk, std::chrono::microseconds(wait_us), [&] {
-      return shard.signaled || stop_.load(std::memory_order_relaxed);
-    });
-    shard.signaled = false;
+    shard.wakeup.wait(wait_us, stop_);
   }
 }
 
@@ -443,11 +399,7 @@ void OrderingPipeline::merger_loop() {
       cre_service();
     }
     flush_();
-    std::unique_lock<std::mutex> lk(merger_cv_mutex_);
-    merger_cv_.wait_for(lk, std::chrono::microseconds(config_.poll_timeout_us), [&] {
-      return merger_signaled_ || stop_.load(std::memory_order_relaxed);
-    });
-    merger_signaled_ = false;
+    merger_wakeup_.wait(config_.poll_timeout_us, stop_);
   }
 }
 
@@ -455,7 +407,7 @@ void OrderingPipeline::refill_head(std::size_t lane) {
   Shard& shard = *shards_[lane];
   while (!heads_[lane]) {
     // The spill continues the lane. A stopping worker may still be
-    // appending to it, so with workers only drain() reads it, after the join.
+    // appending to it, so it is read only once no worker runs.
     if (shard.output.empty() && (threaded() || shard.spill.empty())) return;
     ShardOutput out;
     if (!shard.output.try_pop(out)) {  // the lane is empty: take the spill
@@ -526,13 +478,6 @@ void OrderingPipeline::merge_step() {
       if (best < n) {
         record = std::move(heads_[best]->record);
         heads_[best].reset();
-        refill_head(best);
-        if (!heads_[best] && !shards_[best]->flushed.load(std::memory_order_acquire)) {
-          // The popped lane went empty mid-run: it re-enters the barrier
-          // with its current watermark, tightening the bound if needed.
-          const TimeMicros wm = shards_[best]->watermark.load(std::memory_order_acquire);
-          if (wm < bound) bound = wm;
-        }
       } else {
         RelayLane& lane = *relay_lanes_[best - n];
         record = std::move(lane.queue.front());
@@ -552,6 +497,17 @@ void OrderingPipeline::merge_step() {
       merged_any_ = true;
       deliver(std::move(record));
       progressed = true;
+      // Refilled only after the delivery, so an out-of-band entry queued
+      // behind the popped record reaches the CRE matcher after it.
+      if (best < n) {
+        refill_head(best);
+        if (!heads_[best] && !shards_[best]->flushed.load(std::memory_order_acquire)) {
+          // The popped lane went empty mid-run: it re-enters the barrier
+          // with its current watermark, tightening the bound if needed.
+          const TimeMicros wm = shards_[best]->watermark.load(std::memory_order_acquire);
+          if (wm < bound) bound = wm;
+        }
+      }
     }
     // The run's end (or, with nothing released, the out-of-band drains the
     // refills routed) reaches the sink now.
@@ -561,40 +517,6 @@ void OrderingPipeline::merge_step() {
     } else {
       return;
     }
-  }
-}
-
-void OrderingPipeline::merge_tails(std::vector<std::vector<ShardOutput>>& tails) {
-  std::vector<std::size_t> cursors(tails.size(), 0);
-  for (;;) {
-    for (std::size_t i = 0; i < tails.size(); ++i) {
-      while (cursors[i] < tails[i].size() && tails[i][cursors[i]].out_of_band) {
-        deliver_oob(std::move(tails[i][cursors[i]].record));
-        ++cursors[i];
-      }
-    }
-    std::size_t best = tails.size();
-    for (std::size_t i = 0; i < tails.size(); ++i) {
-      if (cursors[i] >= tails[i].size()) continue;
-      if (best == tails.size() ||
-          key_less(tails[i][cursors[i]].record, tails[best][cursors[best]].record)) {
-        best = i;
-      }
-    }
-    if (best == tails.size()) {
-      hand_over();
-      return;
-    }
-    sensors::Record record = std::move(tails[best][cursors[best]].record);
-    ++cursors[best];
-    if (merged_any_ && record.timestamp < last_merged_ts_) {
-      merge_inversions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (!merged_any_ || record.timestamp > last_merged_ts_) {
-      last_merged_ts_ = record.timestamp;
-    }
-    merged_any_ = true;
-    deliver(std::move(record));
   }
 }
 

@@ -142,10 +142,11 @@ class OrderingPipeline {
   /// the records are counted in stats().oob_records as they leave.
   std::size_t remove_node(NodeId node);
 
-  /// Shutdown path: stops the worker threads, then deterministically
-  /// flushes every shard and k-way merges the remainders — identical
-  /// output whatever the shard count. Afterwards service() drives the
-  /// pipeline for late stragglers; drained lanes no longer gate the merge.
+  /// Shutdown path: stops the worker threads, flushes every shard's sorter
+  /// into its own lane, marks every lane flushed and runs the live merge to
+  /// the end — identical output whatever the shard count. Afterwards
+  /// service() drives the pipeline for late stragglers; drained lanes no
+  /// longer gate the merge.
   Status drain();
 
   // ---- ordered ingress (federation relay lanes) ------------------------------
@@ -215,6 +216,18 @@ class OrderingPipeline {
   };
   struct Shard;
 
+  /// A worker's wakeup: signal() sets the flag and notifies; wait() returns
+  /// once the flag is set, `stop` is set or the timeout passes, and clears
+  /// the flag, so a signal sent before the wait is not lost.
+  struct Wakeup {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool signaled = false;
+
+    void signal();
+    void wait(TimeMicros timeout_us, const std::atomic<bool>& stop);
+  };
+
   /// One ordered-ingress lane. The queue is guarded by merger_mutex_; the
   /// watermark and flushed flag are atomics so the merge can read them
   /// without extra synchronization points.
@@ -239,9 +252,8 @@ class OrderingPipeline {
   /// Appends to the shard's output lane, or to its spill behind it. A
   /// worker spins on a full lane; without workers the caller is also the
   /// lane's consumer, so it merges instead and spills what it cannot take.
+  /// Once the pipeline stops, a full lane spills.
   void push_output(Shard& shard, ShardOutput out);
-  void signal_shard(Shard& shard);
-  void signal_merger();
   void merger_loop();
   /// Tops up one cached lane head from the shard's output lane, then its
   /// spill, routing out-of-band entries straight to deliver_oob. Requires
@@ -251,9 +263,6 @@ class OrderingPipeline {
   /// watermarks allow, releasing records in runs up to the watermark front
   /// (one front scan per run, not per record). Requires merger_mutex_.
   void merge_step();
-  /// Final deterministic merge over recovered lane tails + flushed shard
-  /// buffers (no watermark gating). Requires merger_mutex_.
-  void merge_tails(std::vector<std::vector<ShardOutput>>& tails);
   /// Passes one merged record through the CRE matcher into cre_scratch_,
   /// handing the scratch over once it holds kMaxSinkRun records. Requires
   /// merger_mutex_.
@@ -298,10 +307,8 @@ class OrderingPipeline {
   std::vector<sensors::Record> cre_scratch_;
   /// Records merged since the last hand_over(); published into merged_ there.
   std::uint64_t unpublished_merged_ = 0;
+  Wakeup merger_wakeup_;
   std::thread merger_thread_;
-  std::mutex merger_cv_mutex_;
-  std::condition_variable merger_cv_;
-  bool merger_signaled_ = false;
 
   // ---- stats ------------------------------------------------------------------
   std::atomic<std::uint64_t> submitted_{0};

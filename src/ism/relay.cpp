@@ -18,7 +18,6 @@ tp::LinkConfig make_link_config(const RelayConfig& config) {
   link.capabilities = tp::kCapabilityOrderedStream;
   link.replay_batches = config.replay_batches;
   link.replay_bytes = config.replay_bytes;
-  link.pace = config.pace;
   return link;
 }
 

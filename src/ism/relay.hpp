@@ -87,7 +87,6 @@ struct RelayConfig {
   /// Replay depth toward the parent; see tp::LinkConfig.
   std::size_t replay_batches = 256;
   std::size_t replay_bytes = 0;
-  bool pace = true;
   tp::ReconnectConfig reconnect;
   /// How long drain() waits for the queue + replay buffer to empty.
   TimeMicros drain_timeout_us = 2'000'000;

@@ -74,14 +74,6 @@ struct ExsConfig {
   /// TCP sessions where writes still succeed locally (0 disables).
   TimeMicros ism_silence_timeout_us = 0;
 
-  // --- credit-based flow control ---------------------------------------------
-  /// Honor ISM credit grants (--exs-pace): batches beyond the granted
-  /// window wait in the replay buffer instead of blasting into a blocked
-  /// socket, and the batch size shrinks to fit the window. Off, or facing
-  /// an ISM that grants no credits, the EXS sends as fast as the socket
-  /// accepts (the pre-v3 behavior). Pacing requires the replay buffer.
-  bool pace = true;
-
   // --- self-instrumentation ---------------------------------------------------
   /// Snapshot the EXS's own counters into reserved-sensor-id metrics
   /// records at this period and ship them in-band like any sensor record

@@ -15,7 +15,6 @@ tp::LinkConfig ExsCore::make_link_config(const ExsConfig& config) {
   link.incarnation = config.incarnation;
   link.replay_batches = config.replay_buffer_batches;
   link.replay_bytes = config.replay_buffer_bytes;
-  link.pace = config.pace;
   return link;
 }
 

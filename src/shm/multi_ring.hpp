@@ -7,7 +7,9 @@
 // the external sensor polls all active slots.
 //
 // Layout: [Directory | slot 0 ring | slot 1 ring | ...], each slot ring
-// being RingBuffer::region_size(ring_capacity) bytes.
+// being RingBuffer::region_size(ring_capacity) bytes rounded up to a cache
+// line, so every ring header starts on a 64-byte boundary as its alignas(64)
+// cursors require (given a region that does).
 #pragma once
 
 #include <atomic>
@@ -22,18 +24,24 @@ namespace brisk::shm {
 
 class MultiRing {
  public:
-  struct Directory {
+  struct alignas(64) Directory {
     std::uint64_t magic;
     std::uint32_t slot_count;
     std::uint32_t ring_capacity;                 // data bytes per slot ring
     std::atomic<std::uint32_t> slots_claimed;    // monotonically increasing
   };
 
-  static constexpr std::uint64_t kMagic = 0x425249534b444952ULL;  // "BRISKDIR"
+  /// Changed with the cache-line slot layout, so a region formatted by an
+  /// older build fails attach() instead of being misread.
+  static constexpr std::uint64_t kMagic = 0x425249534b445232ULL;  // "BRISKDR2"
 
+  /// Bytes from one slot ring to the next.
+  static constexpr std::size_t slot_stride(std::uint32_t ring_capacity) noexcept {
+    return (RingBuffer::region_size(ring_capacity) + 63) & ~std::size_t{63};
+  }
   static constexpr std::size_t region_size(std::uint32_t slot_count,
                                            std::uint32_t ring_capacity) noexcept {
-    return sizeof(Directory) + std::size_t{slot_count} * RingBuffer::region_size(ring_capacity);
+    return sizeof(Directory) + std::size_t{slot_count} * slot_stride(ring_capacity);
   }
 
   /// Formats `memory` as a directory of `slot_count` rings.
@@ -67,7 +75,7 @@ class MultiRing {
   MultiRing(Directory* dir, std::uint8_t* rings) : dir_(dir), rings_(rings) {}
 
   [[nodiscard]] std::uint8_t* ring_memory(std::uint32_t index) noexcept {
-    return rings_ + std::size_t{index} * RingBuffer::region_size(dir_->ring_capacity);
+    return rings_ + std::size_t{index} * slot_stride(dir_->ring_capacity);
   }
 
   Directory* dir_ = nullptr;

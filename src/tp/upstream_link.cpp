@@ -176,7 +176,7 @@ void UpstreamLink::apply_credit(const std::optional<CreditGrant>& credit) {
   if (!credit) return;
   if (credit->incarnation != config_.incarnation) return;  // stale session's grant
   ++credit_grants_received_;
-  if (!config_.pace || config_.replay_batches == 0) return;
+  if (config_.replay_batches == 0) return;
   credit_active_ = true;
   window_records_ = credit->window_records;
   window_bytes_ = credit->window_bytes;

@@ -36,12 +36,11 @@ struct LinkConfig {
   std::uint64_t incarnation = 0;
   /// Capability word carried by HELLO (0 = plain EXS-shaped peer).
   std::uint32_t capabilities = 0;
-  /// Replay depth in batches; 0 disables replay (and therefore pacing).
+  /// Replay depth in batches; 0 disables replay (and therefore pacing:
+  /// credit grants are honoured only with a replay buffer to park in).
   std::size_t replay_batches = 256;
   /// Replay depth in bytes; 0 disables the byte cap.
   std::size_t replay_bytes = 0;
-  /// Honor credit grants (protocol v3 pacing). Requires replay.
-  bool pace = true;
 };
 
 struct LinkStats {

@@ -20,6 +20,7 @@
 
 #include "ism/gateway.hpp"
 #include "ism/output.hpp"
+#include "ring_memory.hpp"
 #include "sensors/record_codec.hpp"
 #include "shm/ring_buffer.hpp"
 
@@ -158,7 +159,7 @@ TEST_F(AllocCountTest, CountsOnlyTheCallingThreadInsideTheRegion) {
 
 TEST_F(OutputAllocTest, ShmSinkAcceptMakesNoHeapAllocation) {
   constexpr std::size_t kCapacity = 1u << 20;
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(kCapacity));
+  test::RingMemory memory(shm::RingBuffer::region_size(kCapacity));
   auto ring = shm::RingBuffer::init(memory.data(), kCapacity);
   ASSERT_TRUE(ring.is_ok());
   for (const Record& record : cases()) {
@@ -183,7 +184,7 @@ TEST_F(OutputAllocTest, ShmSinkAcceptMakesNoHeapAllocation) {
 TEST_F(OutputAllocTest, GatewayAndShmSinkRunMakeNoHeapAllocation) {
   constexpr std::size_t kCapacity = 1u << 20;
   constexpr std::size_t kRun = 256;
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(kCapacity));
+  test::RingMemory memory(shm::RingBuffer::region_size(kCapacity));
   auto ring = shm::RingBuffer::init(memory.data(), kCapacity);
   ASSERT_TRUE(ring.is_ok());
   auto gateway = ConsumerGateway::create(GatewayConfig{});

@@ -166,6 +166,14 @@ TEST(AppsTest, ThreeExecutableDeployment) {
   EXPECT_NE(picl_output.find("X_I32=0"), std::string::npos);
 
   exs.terminate_and_wait();
+  // The exit summary names every loss counter; this run loses nothing.
+  ::kill(ism.pid, SIGTERM);
+  const std::string summary = read_until(ism, "merge inversions\n");
+  EXPECT_NE(summary.find("\nloss: 0 gateway lane drops, 0 subscriber queue drops, "
+                         "0 subscribers evicted, 0 shm ring refusals, "
+                         "0 sorter overflow drops, 0 merge inversions\n"),
+            std::string::npos)
+      << summary;
   ism.terminate_and_wait();
   (void)shm::SharedRegion::open_named(node_shm).value().unlink();
   // brisk_ism owns the output region; it does not unlink on SIGTERM, so

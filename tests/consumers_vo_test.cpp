@@ -8,6 +8,7 @@
 #include "consumers/trace_stats.hpp"
 #include "ism/gateway.hpp"
 #include "ism/output.hpp"
+#include "ring_memory.hpp"
 #include "vo/vo_channel.hpp"
 #include "vo/vo_registry.hpp"
 
@@ -38,7 +39,7 @@ class ShmConsumerTest : public ::testing::Test {
     sink_ = std::make_unique<ism::ShmSink>(ring_);
     consumer_ = std::make_unique<consumers::ShmConsumer>(ring_);
   }
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::RingBuffer ring_;
   std::unique_ptr<ism::ShmSink> sink_;
   std::unique_ptr<consumers::ShmConsumer> consumer_;

@@ -155,12 +155,23 @@ TEST(FlagRegistryTest, HelpTextGolden) {
       "usage: test_program [--flag[=value] ...]\n"
       "  flag parser contract test fixture\n"
       "\n"
-      "  --port                    TCP port to listen on [int, default: 7411]\n"
-      "  --shm                     shared-memory ring name [string, default: \"\"]\n"
-      "  --drop                    drop probability [float, default: 0]\n"
-      "  --verbose                 log at info level [bool, default: false]\n"
-      "  --help                     print this help and exit\n";
+      "  --port     TCP port to listen on [int, default: 7411]\n"
+      "  --shm      shared-memory ring name [string, default: \"\"]\n"
+      "  --drop     drop probability [float, default: 0]\n"
+      "  --verbose  log at info level [bool, default: false]\n"
+      "  --help     print this help and exit\n";
   EXPECT_EQ(flags.help_text(), expected);
+}
+
+TEST(FlagRegistryTest, DefaultsWhenAbsent) {
+  Argv argv({});
+  FlagRegistry flags = make_registry();
+  flags.parse(argv.argc(), argv.argv());
+  EXPECT_EQ(flags.num("port"), 7411);
+  EXPECT_EQ(flags.str("shm"), "");
+  EXPECT_DOUBLE_EQ(flags.real("drop"), 0.0);
+  EXPECT_FALSE(flags.flag("verbose"));
+  EXPECT_FALSE(flags.provided("port"));
 }
 
 TEST(FlagRegistryTest, GoodValuesParse) {

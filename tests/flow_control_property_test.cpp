@@ -29,6 +29,7 @@
 #include "ism/ism.hpp"
 #include "ism/session_table.hpp"
 #include "lis/external_sensor.hpp"
+#include "ring_memory.hpp"
 #include "sensors/sensor.hpp"
 #include "sim/fault_injector.hpp"
 #include "tp/batch.hpp"
@@ -197,7 +198,7 @@ class FlowControlProperty : public ::testing::TestWithParam<FlowParam> {
   /// enters paced mode.
   static RunResult run(const FlowParam& param, std::uint32_t window_records) {
     RunResult result;
-    std::vector<std::uint8_t> memory(shm::MultiRing::region_size(2, 256 * 1024));
+    test::RingMemory memory(shm::MultiRing::region_size(2, 256 * 1024));
     auto rings = shm::MultiRing::init(memory.data(), 2, 256 * 1024);
     EXPECT_TRUE(rings.is_ok());
     clk::ManualClock clock(1'000'000);
@@ -395,7 +396,7 @@ TEST_P(FlowControlProperty, ReplayAfterReconnectRespectsReopenedWindow) {
   // A dedicated deterministic scenario on top of the randomized ones:
   // build up unacked batches, drop the link, shrink the window, and watch
   // the go-back-N replay obey the smaller grant.
-  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  test::RingMemory memory(shm::MultiRing::region_size(1, 64 * 1024));
   auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
   ASSERT_TRUE(rings.is_ok());
   clk::ManualClock clock(1'000'000);
@@ -482,7 +483,7 @@ TEST_P(FlowControlProperty, ReplayAfterReconnectRespectsReopenedWindow) {
 // replenish period or ack period has to pass.
 TEST(FlowControlPropertyDrainTrigger, StalledSessionIsReGrantedWithoutTheClockAdvancing) {
   constexpr std::uint32_t kWindow = 16;
-  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  test::RingMemory memory(shm::MultiRing::region_size(1, 64 * 1024));
   auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
   ASSERT_TRUE(rings.is_ok());
   clk::ManualClock clock(1'000'000);

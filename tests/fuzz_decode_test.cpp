@@ -13,6 +13,7 @@
 #include "ism/output.hpp"
 #include "lis/external_sensor.hpp"
 #include "net/frame.hpp"
+#include "ring_memory.hpp"
 #include "sensors/sensor.hpp"
 #include "picl/picl_record.hpp"
 #include "sensors/record_codec.hpp"
@@ -372,7 +373,7 @@ struct ExsSession {
 
   static constexpr std::uint64_t kIncarnation = 77;
 
-  std::vector<std::uint8_t> memory;
+  test::RingMemory memory;
   clk::ManualClock clock;
   std::vector<ByteBuffer> sent;
   std::unique_ptr<lis::ExsCore> core;

@@ -19,6 +19,7 @@
 #include "ism/gateway.hpp"
 #include "ism/output.hpp"
 #include "metrics/metrics.hpp"
+#include "ring_memory.hpp"
 #include "tp/wire.hpp"
 #include "xdr/xdr_decoder.hpp"
 #include "xdr/xdr_encoder.hpp"
@@ -235,7 +236,7 @@ TEST(GatewayLocal, DuplicateNamesRejectedAndUnsubscribeWorks) {
 TEST(GatewayLocal, FailingSubscriberDoesNotStopOthers) {
   // A stream subscriber whose sink rejects records (a full shm ring) reports
   // the error but must not starve the subscribers registered after it.
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(128));
+  test::RingMemory memory(shm::RingBuffer::region_size(128));
   auto tiny_ring = shm::RingBuffer::init(memory.data(), 128);
   ASSERT_TRUE(tiny_ring.is_ok());
   auto gateway = make_local_gateway();
@@ -463,7 +464,7 @@ TEST(GatewayTest, AcceptRunMatchesAnAcceptLoop) {
 // A subscriber's sink takes each contiguous matched stretch of a run in one
 // call, and what it refuses is not counted as delivered.
 TEST(GatewayTest, AcceptRunHandsMatchedStretchesToTheSinkAndCountsRefusals) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(256));
+  test::RingMemory memory(shm::RingBuffer::region_size(256));
   auto ring = shm::RingBuffer::init(memory.data(), 256);
   ASSERT_TRUE(ring.is_ok());
   auto gateway = make_local_gateway();

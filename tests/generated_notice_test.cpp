@@ -6,6 +6,7 @@
 
 #include "clock/clock.hpp"
 #include "generated_notices.hpp"  // build-generated
+#include "ring_memory.hpp"
 #include "sensors/record_codec.hpp"
 #include "sensors/sensor_registry.hpp"
 #include "shm/ring_buffer.hpp"
@@ -34,7 +35,7 @@ class GeneratedNoticeTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{5'000'000};
   std::unique_ptr<sensors::Sensor> sensor_;

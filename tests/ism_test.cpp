@@ -22,6 +22,7 @@
 #include "ism/ism.hpp"
 #include "ism/pipeline.hpp"
 #include "ism/session_table.hpp"
+#include "ring_memory.hpp"
 
 namespace brisk::ism {
 namespace {
@@ -866,7 +867,7 @@ TEST(TokenBucketTest, CapsAtBurst) {
 // ---- output sinks ---------------------------------------------------------------------
 
 TEST(OutputTest, ShmSinkRoundTripsThroughRing) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(64 * 1024));
+  test::RingMemory memory(shm::RingBuffer::region_size(64 * 1024));
   auto ring = shm::RingBuffer::init(memory.data(), 64 * 1024);
   ASSERT_TRUE(ring.is_ok());
   ShmSink sink(ring.value());
@@ -884,7 +885,7 @@ TEST(OutputTest, ShmSinkRoundTripsThroughRing) {
 }
 
 TEST(OutputTest, ShmSinkCountsDropsWhenRingFull) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(128));
+  test::RingMemory memory(shm::RingBuffer::region_size(128));
   auto ring = shm::RingBuffer::init(memory.data(), 128);
   ASSERT_TRUE(ring.is_ok());
   ShmSink sink(ring.value());
@@ -896,7 +897,7 @@ TEST(OutputTest, ShmSinkCountsDropsWhenRingFull) {
 }
 
 TEST(OutputTest, ShmSinkRunCountsExactlyTheRefusedRecordsAsDropped) {
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(256));
+  test::RingMemory memory(shm::RingBuffer::region_size(256));
   auto ring = shm::RingBuffer::init(memory.data(), 256);
   ASSERT_TRUE(ring.is_ok());
   ShmSink sink(ring.value());
@@ -952,8 +953,8 @@ std::vector<Record> mixed_output_stream() {
 
 TEST(OutputTest, ShmSinkWritesTheReferenceEncodingByteForByte) {
   constexpr std::size_t kCapacity = 16 * 1024;
-  std::vector<std::uint8_t> memory_a(shm::RingBuffer::region_size(kCapacity));
-  std::vector<std::uint8_t> memory_b(shm::RingBuffer::region_size(kCapacity));
+  test::RingMemory memory_a(shm::RingBuffer::region_size(kCapacity));
+  test::RingMemory memory_b(shm::RingBuffer::region_size(kCapacity));
   auto ring_a = shm::RingBuffer::init(memory_a.data(), kCapacity);
   auto ring_b = shm::RingBuffer::init(memory_b.data(), kCapacity);
   ASSERT_TRUE(ring_a.is_ok());
@@ -990,7 +991,7 @@ TEST(OutputTest, ShmSinkWritesTheReferenceEncodingByteForByte) {
 
 TEST(OutputTest, ShmSinkRejectsAnUnencodableRecordWithoutTouchingTheRing) {
   constexpr std::size_t kCapacity = 64 * 1024;
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(kCapacity));
+  test::RingMemory memory(shm::RingBuffer::region_size(kCapacity));
   auto ring = shm::RingBuffer::init(memory.data(), kCapacity);
   ASSERT_TRUE(ring.is_ok());
   ShmSink sink(ring.value());
@@ -1454,16 +1455,124 @@ TEST(OrderingPipelineTest, InlineReleaseRunsAreCutAtTheCap) {
   EXPECT_EQ(pipeline.stats().merged, 600u);
 }
 
+// drain() must release exactly what one merge over every lane's complete
+// remainder releases. The schedule holds an out-of-band entry behind a
+// cached head, a late record the flush emits below its shard's watermark,
+// more records than a lane holds, and a relay record the late one precedes.
+// Without workers the relay gate lifts before drain(), so a merge run
+// part-way through a flush would be free to release the relay record ahead
+// of the late one; with workers it stays, or the merger would release the
+// remainders before drain() does.
+std::vector<std::pair<TimeMicros, NodeId>> drain_sequence_with_a_late_and_an_oob_record(
+    std::size_t shards, NodeId a, NodeId b, NodeId x) {
+  constexpr TimeMicros kBase = 1'000'000;
+  SharedManualClock clock(kBase);
+  PipelineConfig config;
+  config.shards = shards;
+  config.shard_queue_records = 4;
+  config.sorter.initial_frame_us = 1'000;
+  config.sorter.min_frame_us = 1'000;
+  config.sorter.adaptive = false;
+  config.poll_timeout_us = 1'000;
+  PipelineCapture capture;
+  OrderingPipeline pipeline(config, clock, capture.sink(), capture.flush(),
+                            capture.on_tachyon());
+  // Settles the shard cycle: inline, one service() pass; with workers, a
+  // wait until the sorters hold `pending` records.
+  auto settle = [&](std::size_t pending) {
+    if (!pipeline.threaded()) {
+      pipeline.service();
+      return;
+    }
+    const TimeMicros deadline = monotonic_micros() + 5'000'000;
+    for (;;) {
+      const std::vector<std::size_t> depths = pipeline.shard_depths();
+      std::size_t total = 0;
+      for (std::size_t depth : depths) total += depth;
+      if (total == pending || monotonic_micros() > deadline) return;
+      sleep_micros(1'000);
+    }
+  };
+  const std::size_t gate = pipeline.add_relay_lane(nullptr);  // empty: gates the merge
+  const std::size_t relay = pipeline.add_relay_lane(nullptr);
+
+  EXPECT_TRUE(pipeline.submit(make_record(a, kBase + 100)));
+  EXPECT_TRUE(pipeline.submit(make_record(b, kBase + 110)));
+  EXPECT_TRUE(pipeline.submit(make_record(x, kBase + 5'000)));
+  clock.set(kBase + 1'200);  // a and b fall due, x does not
+  settle(1);
+  pipeline.remove_node(x);  // x's record queues behind a's cached head
+  if (pipeline.threaded()) settle(0);
+  // Due but unserviced inline: the flush emits them. 45 is late: a's 100
+  // has left the sorter already.
+  for (TimeMicros ts : {130, 140, 45, 1'300, 1'400, 1'600, 1'700, 1'800}) {
+    EXPECT_TRUE(pipeline.submit(make_record(a, kBase + ts)));
+  }
+  for (TimeMicros ts : {1'350, 1'500, 1'650, 1'750, 1'850}) {
+    EXPECT_TRUE(pipeline.submit(make_record(b, kBase + ts)));
+  }
+  if (pipeline.threaded()) settle(10);
+  std::vector<Record> batch;
+  batch.push_back(make_record(50, kBase + 142));
+  EXPECT_TRUE(pipeline.submit_relay(relay, std::move(batch), kBase + 142));
+  if (!pipeline.threaded()) pipeline.flush_relay_lane(gate);
+  EXPECT_TRUE(pipeline.drain());
+
+  EXPECT_EQ(pipeline.sorter_stats().late_records, 1u);
+  EXPECT_EQ(pipeline.stats().oob_records, 1u);
+  EXPECT_EQ(pipeline.stats().merged, 16u);
+  EXPECT_EQ(pipeline.stats().merge_inversions, 1u);
+  return keys_of(capture.snapshot());
+}
+
+/// Node ids where a and x share a shard at N=2 and b does not.
+struct DrainNodes {
+  NodeId a = 1;
+  NodeId b = 2;
+  NodeId x = 2;
+  DrainNodes() {
+    while (shard_of_node(b, 2) == shard_of_node(a, 2)) ++b;
+    while (x == b || shard_of_node(x, 2) != shard_of_node(a, 2)) ++x;
+  }
+};
+
+TEST(OrderingPipelineTest, DrainReleasesWhatOneMergeOverTheRemaindersReleasesInline) {
+  const DrainNodes n;
+  constexpr TimeMicros kBase = 1'000'000;
+  // One lane: b's 110 was emitted before x was removed, so x's entry follows it.
+  const std::vector<std::pair<TimeMicros, NodeId>> expected{
+      {kBase + 100, n.a},   {kBase + 110, n.b},   {kBase + 5'000, n.x}, {kBase + 130, n.a},
+      {kBase + 140, n.a},   {kBase + 45, n.a},    {kBase + 142, 50},    {kBase + 1'300, n.a},
+      {kBase + 1'350, n.b}, {kBase + 1'400, n.a}, {kBase + 1'500, n.b}, {kBase + 1'600, n.a},
+      {kBase + 1'650, n.b}, {kBase + 1'700, n.a}, {kBase + 1'750, n.b}, {kBase + 1'800, n.a},
+      {kBase + 1'850, n.b}};
+  EXPECT_EQ(drain_sequence_with_a_late_and_an_oob_record(1, n.a, n.b, n.x), expected);
+}
+
+TEST(OrderingPipelineTest, DrainReleasesWhatOneMergeOverTheRemaindersReleasesSharded) {
+  const DrainNodes n;
+  constexpr TimeMicros kBase = 1'000'000;
+  const std::vector<std::pair<TimeMicros, NodeId>> expected{
+      {kBase + 100, n.a},   {kBase + 5'000, n.x}, {kBase + 110, n.b},   {kBase + 130, n.a},
+      {kBase + 140, n.a},   {kBase + 45, n.a},    {kBase + 142, 50},    {kBase + 1'300, n.a},
+      {kBase + 1'350, n.b}, {kBase + 1'400, n.a}, {kBase + 1'500, n.b}, {kBase + 1'600, n.a},
+      {kBase + 1'650, n.b}, {kBase + 1'700, n.a}, {kBase + 1'750, n.b}, {kBase + 1'800, n.a},
+      {kBase + 1'850, n.b}};
+  EXPECT_EQ(drain_sequence_with_a_late_and_an_oob_record(2, n.a, n.b, n.x), expected);
+}
+
 // ---- least-loaded accept placement ------------------------------------------------
 
 TEST(LeastLoadedReaderTest, PicksMinimumAndBreaksTiesLow) {
-  EXPECT_EQ(least_loaded_reader({0}), 0u);
-  EXPECT_EQ(least_loaded_reader({3, 1, 2}), 1u);
-  EXPECT_EQ(least_loaded_reader({2, 2, 2}), 0u) << "ties go to the lowest index";
-  EXPECT_EQ(least_loaded_reader({1, 0, 0}), 1u) << "first minimum wins";
+  // Equally idle readers: placement by connection count alone.
+  EXPECT_EQ(least_loaded_reader({0.0}, {0}), 0u);
+  EXPECT_EQ(least_loaded_reader({0.0, 0.0, 0.0}, {3, 1, 2}), 1u);
+  EXPECT_EQ(least_loaded_reader({0.0, 0.0, 0.0}, {2, 2, 2}), 0u)
+      << "ties go to the lowest index";
+  EXPECT_EQ(least_loaded_reader({0.0, 0.0, 0.0}, {1, 0, 0}), 1u) << "first minimum wins";
   // The churn scenario round-robin gets wrong: reader 0 kept its long-lived
   // connections while reader 1's all closed — new accepts must land on 1.
-  EXPECT_EQ(least_loaded_reader({5, 0}), 1u);
+  EXPECT_EQ(least_loaded_reader({0.0, 0.0}, {5, 0}), 1u);
 }
 
 TEST(LeastLoadedReaderTest, DrainRatePlacementPrefersColdReaders) {
@@ -1474,7 +1583,7 @@ TEST(LeastLoadedReaderTest, DrainRatePlacementPrefersColdReaders) {
   EXPECT_EQ(least_loaded_reader({0.0, 500.0, 250.0}, {4, 1, 1}), 0u);
   // Equal rates fall back to the connection-count tie-break...
   EXPECT_EQ(least_loaded_reader({100.0, 100.0}, {3, 1}), 1u);
-  // ...and a full tie goes to the lowest index, like the legacy overload.
+  // ...and a full tie goes to the lowest index.
   EXPECT_EQ(least_loaded_reader({100.0, 100.0}, {2, 2}), 0u);
   EXPECT_EQ(least_loaded_reader({0.0}, {0}), 0u);
   // All-idle readers (fresh start): same placement round-robin-from-zero

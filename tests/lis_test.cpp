@@ -10,6 +10,7 @@
 #include "common/time_util.hpp"
 #include "lis/batcher.hpp"
 #include "lis/external_sensor.hpp"
+#include "ring_memory.hpp"
 #include "tp/replay_buffer.hpp"
 #include "sensors/sensor.hpp"
 #include "tp/batch.hpp"
@@ -197,7 +198,7 @@ class ExsCoreTest : public ::testing::Test {
     return out;
   }
 
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::MultiRing rings_;
   clk::ManualClock clock_{1'000'000};
   ExsConfig config_;
@@ -400,7 +401,7 @@ class ExsWaitTest : public ::testing::Test {
     return drained.is_ok() ? drained.value() : 0;
   }
 
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::MultiRing rings_;
   clk::ManualClock reference_{0};
   clk::SimClock clock_{reference_, clk::SimClockConfig{5'000'000, 0.0, 0, 1}};

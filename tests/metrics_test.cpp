@@ -20,6 +20,7 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "picl/picl_record.hpp"
+#include "ring_memory.hpp"
 #include "sensors/metrics_record.hpp"
 #include "sensors/sensor.hpp"
 #include "shm/multi_ring.hpp"
@@ -168,7 +169,7 @@ TEST(MetricsRecordTest, ShmSinkRoundTripByteIdentical) {
   auto encoded = ism::encode_output_record(record);
   ASSERT_TRUE(encoded.is_ok());
 
-  std::vector<std::uint8_t> memory(shm::RingBuffer::region_size(4096));
+  test::RingMemory memory(shm::RingBuffer::region_size(4096));
   auto ring = shm::RingBuffer::init(memory.data(), 4096);
   ASSERT_TRUE(ring.is_ok());
   ism::ShmSink sink(ring.value());
@@ -212,7 +213,7 @@ TEST(MetricsRecordTest, PiclLineRoundTrip) {
 // is one loop wakeup, and a pass that stopped at drain_burst (rings still
 // holding records) is a burst-limited drain.
 TEST(ExsMetricsTest, SnapshotCarriesLoopWakeupsAndBurstLimitedDrains) {
-  std::vector<std::uint8_t> memory(shm::MultiRing::region_size(1, 64 * 1024));
+  test::RingMemory memory(shm::MultiRing::region_size(1, 64 * 1024));
   auto rings = shm::MultiRing::init(memory.data(), 1, 64 * 1024);
   ASSERT_TRUE(rings.is_ok());
   auto ring = rings.value().claim_slot();

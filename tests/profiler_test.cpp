@@ -1,13 +1,12 @@
-// Tests for the hybrid-monitoring emulation (CounterSet + Profiler), the
-// perturbation-analysis accounting, and the flag parser used by the BRISK
-// executables.
+// Tests for the hybrid-monitoring emulation (CounterSet + Profiler) and the
+// perturbation-analysis accounting.
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "apps/flag_parser.hpp"
 #include "clock/clock.hpp"
 #include "consumers/perturbation.hpp"
+#include "ring_memory.hpp"
 #include "sensors/profiler.hpp"
 #include "sensors/record_codec.hpp"
 #include "shm/ring_buffer.hpp"
@@ -86,7 +85,7 @@ class ProfilerTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{1'000'000};
   std::unique_ptr<sensors::Sensor> sensor_;
@@ -185,43 +184,6 @@ TEST(PerturbationTest, EstimateCombinesCountersAndCosts) {
   EXPECT_DOUBLE_EQ(report.overhead_fraction(19'000), 0.1);
   EXPECT_EQ(report.overhead_fraction(0), 0.0);
   EXPECT_NE(report.to_string().find("notices=1000"), std::string::npos);
-}
-
-// ---- flag parser ------------------------------------------------------------------------
-
-apps::FlagParser make_parser(std::vector<std::string> args) {
-  static std::vector<std::string> storage;  // keeps c_str()s alive per call
-  storage = std::move(args);
-  static std::vector<char*> argv;
-  argv.clear();
-  static std::string program = "test";
-  argv.push_back(program.data());
-  for (auto& arg : storage) argv.push_back(arg.data());
-  return apps::FlagParser(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(FlagParserTest, KeyEqualsValue) {
-  auto parser = make_parser({"--port=7411", "--host=10.0.0.1"});
-  EXPECT_EQ(parser.get_int("port", 0), 7411);
-  EXPECT_EQ(parser.get_string("host", ""), "10.0.0.1");
-}
-
-TEST(FlagParserTest, KeySpaceValue) {
-  auto parser = make_parser({"--port", "7411"});
-  EXPECT_EQ(parser.get_int("port", 0), 7411);
-}
-
-TEST(FlagParserTest, BareBooleanFlag) {
-  auto parser = make_parser({"--verbose", "--rate", "2.5"});
-  EXPECT_TRUE(parser.get_bool("verbose", false));
-  EXPECT_DOUBLE_EQ(parser.get_double("rate", 0.0), 2.5);
-}
-
-TEST(FlagParserTest, DefaultsWhenAbsent) {
-  auto parser = make_parser({});
-  EXPECT_EQ(parser.get_int("port", 42), 42);
-  EXPECT_EQ(parser.get_string("name", "fallback"), "fallback");
-  EXPECT_FALSE(parser.get_bool("verbose", false));
 }
 
 }  // namespace

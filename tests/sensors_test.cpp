@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "clock/clock.hpp"
+#include "ring_memory.hpp"
 #include "sensors/record_codec.hpp"
 #include "sensors/sensor.hpp"
 #include "sensors/sensor_registry.hpp"
@@ -317,7 +318,7 @@ class SensorTest : public ::testing::Test {
     return std::move(record).value();
   }
 
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::RingBuffer ring_;
   clk::ManualClock clock_{1'000'000};
   std::unique_ptr<Sensor> sensor_;

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <thread>
 
+#include "ring_memory.hpp"
 #include "shm/multi_ring.hpp"
 #include "shm/ring_buffer.hpp"
 #include "shm/shared_region.hpp"
@@ -84,7 +85,7 @@ class RingBufferTest : public ::testing::Test {
     ASSERT_TRUE(ring.is_ok()) << ring.status().to_string();
     ring_ = ring.value();
   }
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   RingBuffer ring_;
 };
 
@@ -224,7 +225,7 @@ TEST_F(RingBufferTest, AttachRejectsTruncatedRegion) {
 }
 
 TEST_F(RingBufferTest, InitRejectsTinyCapacity) {
-  std::vector<std::uint8_t> mem(RingBuffer::region_size(16));
+  test::RingMemory mem(RingBuffer::region_size(16));
   EXPECT_EQ(RingBuffer::init(mem.data(), 16).status().code(), Errc::invalid_argument);
 }
 
@@ -320,7 +321,7 @@ class RingSweep : public ::testing::TestWithParam<RingSweepParam> {};
 
 TEST_P(RingSweep, FillDrainTwiceKeepsIntegrity) {
   const auto [capacity, record_size] = GetParam();
-  std::vector<std::uint8_t> memory(RingBuffer::region_size(capacity));
+  test::RingMemory memory(RingBuffer::region_size(capacity));
   auto ring = RingBuffer::init(memory.data(), capacity);
   ASSERT_TRUE(ring.is_ok());
 
@@ -366,7 +367,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---- MultiRing -------------------------------------------------------------------
 
 TEST(MultiRingTest, ClaimSlotsUntilExhausted) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(3, 256));
+  test::RingMemory memory(MultiRing::region_size(3, 256));
   auto rings = MultiRing::init(memory.data(), 3, 256);
   ASSERT_TRUE(rings.is_ok());
   EXPECT_EQ(rings.value().claimed_slots(), 0u);
@@ -378,7 +379,7 @@ TEST(MultiRingTest, ClaimSlotsUntilExhausted) {
 }
 
 TEST(MultiRingTest, SlotsAreIndependent) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 512));
+  test::RingMemory memory(MultiRing::region_size(2, 512));
   auto rings = MultiRing::init(memory.data(), 2, 512);
   ASSERT_TRUE(rings.is_ok());
   auto ring0 = rings.value().claim_slot();
@@ -404,7 +405,7 @@ TEST(MultiRingTest, SlotsAreIndependent) {
 }
 
 TEST(MultiRingTest, SlotOutOfRangeRejected) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 256));
+  test::RingMemory memory(MultiRing::region_size(2, 256));
   auto rings = MultiRing::init(memory.data(), 2, 256);
   ASSERT_TRUE(rings.is_ok());
   EXPECT_EQ(rings.value().slot(0).status().code(), Errc::out_of_range)
@@ -415,7 +416,7 @@ TEST(MultiRingTest, SlotOutOfRangeRejected) {
 }
 
 TEST(MultiRingTest, AttachSeesClaims) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(4, 256));
+  test::RingMemory memory(MultiRing::region_size(4, 256));
   auto rings = MultiRing::init(memory.data(), 4, 256);
   ASSERT_TRUE(rings.is_ok());
   ASSERT_TRUE(rings.value().claim_slot().is_ok());
@@ -434,7 +435,7 @@ TEST(MultiRingTest, AttachValidates) {
 }
 
 TEST(MultiRingTest, TotalStatsAggregates) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(2, 512));
+  test::RingMemory memory(MultiRing::region_size(2, 512));
   auto rings = MultiRing::init(memory.data(), 2, 512);
   ASSERT_TRUE(rings.is_ok());
   auto ring0 = rings.value().claim_slot();
@@ -448,8 +449,27 @@ TEST(MultiRingTest, TotalStatsAggregates) {
   EXPECT_EQ(stats.bytes_pushed, 30u);
 }
 
+// A slot ring's header keeps its cursors on their own cache lines, so every
+// slot must start on one, also for a ring capacity that is not a multiple of
+// 64 (the EXS's --ring-bytes takes any value from 1024).
+TEST(MultiRingTest, EverySlotRingStartsOnACacheLine) {
+  constexpr std::uint32_t kSlots = 3;
+  constexpr std::uint32_t kCapacity = 1000;
+  test::RingMemory memory(MultiRing::region_size(kSlots, kCapacity));
+  ASSERT_TRUE(MultiRing::init(memory.data(), kSlots, kCapacity).is_ok());
+  std::size_t rings_found = 0;
+  for (std::size_t offset = 0; offset + sizeof(std::uint64_t) <= memory.size(); offset += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, memory.data() + offset, sizeof word);
+    if (word != RingBuffer::kMagic) continue;
+    ++rings_found;
+    EXPECT_EQ(offset % 64, 0u) << "slot ring header at offset " << offset;
+  }
+  EXPECT_EQ(rings_found, kSlots);
+}
+
 TEST(MultiRingTest, ConcurrentClaimsAreUnique) {
-  std::vector<std::uint8_t> memory(MultiRing::region_size(8, 256));
+  test::RingMemory memory(MultiRing::region_size(8, 256));
   auto rings = MultiRing::init(memory.data(), 8, 256);
   ASSERT_TRUE(rings.is_ok());
   std::atomic<int> successes{0};

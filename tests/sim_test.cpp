@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "clock/clock.hpp"
+#include "ring_memory.hpp"
 #include "sensors/sensor.hpp"
 #include "sim/delayed_stream.hpp"
 #include "sim/latency_model.hpp"
@@ -178,7 +179,7 @@ class WorkloadTest : public ::testing::Test {
     ring_ = ring.value();
     sensor_ = std::make_unique<sensors::Sensor>(ring_, clk::SystemClock::instance());
   }
-  std::vector<std::uint8_t> memory_;
+  test::RingMemory memory_;
   shm::RingBuffer ring_;
   std::unique_ptr<sensors::Sensor> sensor_;
 };

@@ -15,11 +15,15 @@
 
 int main(int argc, char** argv) {
   using namespace brisk;
-  apps::FlagParser flags(argc, argv);
-  const std::string spec_path = flags.get_string("spec", "");
-  const std::string out_path = flags.get_string("out", "");
-  std::string guard = flags.get_string("guard", "BRISK_GENERATED_NOTICES_HPP");
-  flags.reject_unknown();
+  apps::FlagRegistry flags("mknotice",
+                           "generates specialized NOTICE macros from a sensor spec file");
+  flags.add_string("spec", "", "sensor spec file to read")
+      .add_string("out", "", "header file to write")
+      .add_string("guard", "BRISK_GENERATED_NOTICES_HPP", "include guard of the generated header");
+  flags.parse(argc, argv);
+  const std::string spec_path = flags.str("spec");
+  const std::string out_path = flags.str("out");
+  const std::string guard = flags.str("guard");
 
   if (spec_path.empty() || out_path.empty()) {
     std::fprintf(stderr, "usage: mknotice --spec <file> --out <header> [--guard NAME]\n");
