@@ -539,15 +539,16 @@ ctest --test-dir build-asan --output-on-failure -L resilience
 # reconnects; the SPSC queue's capacity guard; and the session table's
 # drained cells and regrant marks with the loopback window-update and
 # ack-cadence tests that drive them through a live ISM; the flag layer
-# and knob tables, whose rows store member-pointer paths and setters; and
-# the run hand-over, whose sinks read spans over the pipeline's scratch.
+# and knob tables, whose rows store member-pointer paths and setters; the
+# run hand-over, whose sinks read spans over the pipeline's scratch; and the
+# batch hand-off into the shard lanes (IngressAllocTest).
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'AllocCountTest|OutputAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest|OrderingPipelineTest|GatewayTest'
+  -R 'AllocCountTest|OutputAllocTest|IngressAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest|OrderingPipelineTest|GatewayTest'
 
-echo "==> [12/12] TSan build + ingest/ordering/metrics/trace/gateway/federation tests"
+echo "==> [12/12] TSan build + SPSC lane/ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|UpstreamClient'
+  -R 'SpscQueue|IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|UpstreamClient'
 
 echo "==> CI green"

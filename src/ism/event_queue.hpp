@@ -10,26 +10,18 @@
 
 namespace brisk::ism {
 
-/// A record waiting in the ISM with its arrival bookkeeping.
-struct QueuedRecord {
-  sensors::Record record;
-  TimeMicros arrived_at = 0;  // ISM clock when the batch was decoded
-};
-
 class EventQueue {
  public:
   explicit EventQueue(NodeId node) : node_(node) {}
 
-  void push(sensors::Record record, TimeMicros arrived_at) {
-    queue_.push_back({std::move(record), arrived_at});
-  }
+  void push(sensors::Record record) { queue_.push_back(std::move(record)); }
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] const QueuedRecord& front() const { return queue_.front(); }
+  [[nodiscard]] const sensors::Record& front() const { return queue_.front(); }
 
-  QueuedRecord pop() {
-    QueuedRecord out = std::move(queue_.front());
+  sensors::Record pop() {
+    sensors::Record out = std::move(queue_.front());
     queue_.pop_front();
     return out;
   }
@@ -38,7 +30,7 @@ class EventQueue {
 
  private:
   NodeId node_;
-  std::deque<QueuedRecord> queue_;
+  std::deque<sensors::Record> queue_;
 };
 
 }  // namespace brisk::ism

@@ -574,24 +574,28 @@ void Ism::handle_batch(Connection& conn, tp::Batch batch) {
                    batch.records.size())) {
     return;
   }
-  // Credits account only records that actually enter the pipeline —
-  // flow-control drops never become backlog.
-  std::uint64_t admitted = 0;
-  for (sensors::Record& record : batch.records) {
+  // Token-bucket drops are compacted out in place; the admitted records
+  // enter the pipeline as one run. Credits account only records that
+  // actually enter the pipeline — flow-control drops never become backlog.
+  std::vector<sensors::Record>& records = batch.records;
+  std::size_t admitted = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
     if (conn.flow_control && !conn.flow_control->admit(clock_.now())) {
       bump(stats_.flow_control_drops);
       continue;
     }
+    sensors::Record& record = records[i];
     record.node = conn.node;
-    ++admitted;
     if (record.trace) {
       // Ordering-thread stamp: the ingest side of the pipeline admitted the
       // decoded record (reader threads decode but do not stamp — the
       // ordering thread's clock keeps stamps coherent under ManualClock).
       record.trace->stamp(sensors::TraceStage::ism_ingest, clock_.now());
     }
-    route_record(std::move(record));
+    if (admitted != i) records[admitted] = std::move(record);
+    ++admitted;
   }
+  route_run(conn.node, std::span(records.data(), admitted));
   // A failed window update is left to the sweep's next ack, which
   // classifies it (transient buffer_full vs. dead peer).
   if (sessions_.admitted(conn.node, admitted)) (void)send_ack(conn, tp::MsgType::batch_ack);
@@ -617,8 +621,8 @@ void Ism::handle_relay_batch(Connection& conn, tp::RelayBatch batch) {
   if (sessions_.admitted(conn.node, records)) (void)send_ack(conn, tp::MsgType::batch_ack);
 }
 
-void Ism::route_record(sensors::Record record) {
-  Status st = pipeline_->submit(std::move(record));
+void Ism::route_run(NodeId node, std::span<sensors::Record> records) {
+  Status st = pipeline_->submit_run(node, records);
   if (!st) {
     BRISK_LOG_WARN << "pipeline submit failed: " << st.to_string();
   }
@@ -731,18 +735,17 @@ void Ism::emit_metrics_snapshot() {
   // Injected at the ordering stage: the records ride the sorter shard of the
   // reserved node and the k-way merge like any EXS's stream, so the merged
   // output stays timestamp-sorted and every registered sink sees them.
-  for (sensors::Record& record : metrics::snapshot_to_records(
-           samples, sensors::kIsmMetricsNodeId, timestamp, metrics_sequence_)) {
-    route_record(std::move(record));
-  }
+  std::vector<sensors::Record> records = metrics::snapshot_to_records(
+      samples, sensors::kIsmMetricsNodeId, timestamp, metrics_sequence_);
   // Flight-recorder events sealed since the last snapshot follow as 0xFF03
   // records, stamped with the snapshot time (their event time rides in the
   // at_us field) so they merge cleanly with the stream they describe.
   for (const metrics::FlightEvent& event : flight_.drain_new(flight_cursor_)) {
-    route_record(sensors::make_event_record(sensors::kIsmMetricsNodeId, metrics_sequence_++,
-                                            timestamp, event.kind, event.subject,
-                                            event.value, event.at));
+    records.push_back(sensors::make_event_record(sensors::kIsmMetricsNodeId,
+                                                 metrics_sequence_++, timestamp, event.kind,
+                                                 event.subject, event.value, event.at));
   }
+  route_run(sensors::kIsmMetricsNodeId, records);
 }
 
 Status Ism::send_frame(Connection& conn, ByteSpan payload) {

@@ -317,7 +317,9 @@ class Ism {
   /// batch_seq dedupe cursor, then straight into its pipeline lane —
   /// bypassing the sorter shards. Origin node ids are preserved.
   void handle_relay_batch(Connection& conn, tp::RelayBatch batch);
-  void route_record(sensors::Record record);
+  /// Hands `node`'s records to the ordering pipeline as one run (moving
+  /// them out), logging a failure.
+  void route_run(NodeId node, std::span<sensors::Record> records);
   /// The ordering pipeline's single exit (merged runs and out-of-band
   /// drains alike): hands the run to the output and notes each node's
   /// drained records for its credit window.

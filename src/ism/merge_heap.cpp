@@ -32,7 +32,7 @@ void MergeHeap::notify_pushed(NodeId node) {
   if (it == queues_.end() || it->second->empty()) return;
   auto flag = in_heap_.find(node);
   if (flag == in_heap_.end() || flag->second) return;
-  heap_push({it->second->front().record.timestamp, it->second});
+  heap_push({it->second->front().timestamp, it->second});
   flag->second = true;
 }
 
@@ -40,11 +40,11 @@ TimeMicros MergeHeap::min_timestamp() const {
   return heap_.empty() ? 0 : heap_.front().timestamp;
 }
 
-Result<QueuedRecord> MergeHeap::pop_min() {
+Result<sensors::Record> MergeHeap::pop_min() {
   if (heap_.empty()) return Status(Errc::buffer_empty, "merge heap empty");
   Entry top = heap_pop();
   in_heap_[top.queue->node()] = false;
-  QueuedRecord record = top.queue->pop();
+  sensors::Record record = top.queue->pop();
   // Re-arm the queue's entry with its new head.
   notify_pushed(top.queue->node());
   return record;

@@ -32,7 +32,7 @@ class MergeHeap {
   [[nodiscard]] TimeMicros min_timestamp() const;
 
   /// Pops the globally smallest record and fixes up the heap.
-  Result<QueuedRecord> pop_min();
+  Result<sensors::Record> pop_min();
 
   [[nodiscard]] std::size_t queue_count() const noexcept { return queues_.size(); }
   /// Total records pending across all queues.

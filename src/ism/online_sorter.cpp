@@ -37,7 +37,7 @@ Status OnlineSorter::push(sensors::Record record) {
     ++stats_.late_records;
   }
   const NodeId node = record.node;
-  it->second->push(std::move(record), clock_.now());
+  it->second->push(std::move(record));
   heap_.notify_pushed(node);
   ++stats_.pushed;
   return Status::ok();
@@ -54,8 +54,7 @@ void OnlineSorter::handle_overflow() {
   }
 }
 
-void OnlineSorter::emit(QueuedRecord queued, bool respect_order_check) {
-  sensors::Record& record = queued.record;
+void OnlineSorter::emit(sensors::Record record, bool respect_order_check) {
   if (respect_order_check) {
     if (emitted_any_ && record.timestamp < last_emitted_ts_) {
       // Two successive records extracted out of order: raise T to the

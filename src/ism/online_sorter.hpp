@@ -106,7 +106,7 @@ class OnlineSorter {
   [[nodiscard]] TimeMicros next_due_in();
 
  private:
-  void emit(QueuedRecord queued, bool respect_order_check);
+  void emit(sensors::Record record, bool respect_order_check);
   void decay_frame(TimeMicros now);
   void handle_overflow();
 

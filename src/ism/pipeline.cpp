@@ -15,10 +15,18 @@ namespace {
 /// first, node id as the deterministic tie-break. Because every node lives
 /// on exactly one shard and each shard emits its nodes in this same order,
 /// k-way merging by this key reproduces the monolithic sorter's output.
-bool key_less(const sensors::Record& a, const sensors::Record& b) noexcept {
-  if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-  return a.node < b.node;
+bool key_less(TimeMicros a_ts, NodeId a_node, TimeMicros b_ts, NodeId b_node) noexcept {
+  if (a_ts != b_ts) return a_ts < b_ts;
+  return a_node < b_node;
 }
+
+bool key_less(const sensors::Record& a, const sensors::Record& b) noexcept {
+  return key_less(a.timestamp, a.node, b.timestamp, b.node);
+}
+
+/// Most records one bulk pop moves from a shard's input lane into its
+/// sorter: the size of the shard's reused scratch.
+constexpr std::size_t kShardPopChunk = 256;
 
 }  // namespace
 
@@ -32,7 +40,9 @@ std::size_t shard_of_node(NodeId node, std::size_t shards) noexcept {
 
 struct OrderingPipeline::Shard {
   Shard(std::size_t index, std::size_t lane_depth)
-      : index(index), input(lane_depth), output(lane_depth) {}
+      : index(index), input(lane_depth), output(lane_depth) {
+    scratch.reserve(kShardPopChunk);
+  }
 
   const std::size_t index;
   SpscQueue<sensors::Record> input;  // ordering thread → shard worker
@@ -57,6 +67,8 @@ struct OrderingPipeline::Shard {
   /// stopping and the merge reads it only after the join; without workers
   /// the ordering thread owns both ends.
   std::deque<ShardOutput> spill;
+  /// Reused chunk buffer between the input lane and the sorter (feed_sorter).
+  std::vector<sensors::Record> scratch;
 
   std::mutex cmd_mutex;
   std::vector<NodeId> removals;  // session-expiry commands, ordering → shard
@@ -141,13 +153,16 @@ void OrderingPipeline::Wakeup::wait(TimeMicros timeout_us, const std::atomic<boo
 
 // ---- ordering-thread API ----------------------------------------------------
 
-Status OrderingPipeline::submit(sensors::Record record) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = *shards_[shard_of_node(record.node, shards_.size())];
+Status OrderingPipeline::submit_run(NodeId node, std::span<sensors::Record> records) {
+  if (records.empty()) return Status::ok();
+  submitted_.fetch_add(records.size(), std::memory_order_relaxed);
+  Shard& shard = *shards_[shard_of_node(node, shards_.size())];
   if (threaded()) {
     bool stalled = false;
-    while (!shard.input.try_push(std::move(record))) {
-      if (stop_.load(std::memory_order_relaxed)) break;  // worker is gone
+    std::size_t pushed = 0;
+    for (;;) {
+      pushed += shard.input.try_push_n(records.subspan(pushed));
+      if (pushed == records.size() || stop_.load(std::memory_order_relaxed)) break;
       if (!stalled) {
         stalled = true;
         submit_stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -159,10 +174,20 @@ Status OrderingPipeline::submit(sensors::Record record) {
       shard.wakeup.signal();
       return Status::ok();
     }
-    // fall through: mid-shutdown straggler, push inline below
+    // The worker is gone: the mid-shutdown stragglers go inline below.
+    records = records.subspan(pushed);
   }
+  Status first = Status::ok();
   std::lock_guard<std::mutex> lk(shard.state_mutex);
-  return shard.sorter->push(std::move(record));
+  for (sensors::Record& record : records) {
+    Status st = shard.sorter->push(std::move(record));
+    if (!st && first) first = std::move(st);
+  }
+  return first;
+}
+
+Status OrderingPipeline::submit(sensors::Record record) {
+  return submit_run(record.node, std::span<sensors::Record>(&record, 1));
 }
 
 TimeMicros OrderingPipeline::service() {
@@ -211,11 +236,8 @@ Status OrderingPipeline::drain() {
   stop_threads();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lk(shard->state_mutex);
-    sensors::Record record;
-    while (shard->input.try_pop(record)) {
-      Status st = shard->sorter->push(std::move(record));
-      if (!st) return st;
-    }
+    Status st = feed_sorter(*shard);
+    if (!st) return st;
     shard->sorter->flush_all();
   }
   // Every stream is complete: nothing gates the merge any more, so the live
@@ -335,6 +357,18 @@ std::size_t OrderingPipeline::remove_pending(Shard& shard, NodeId node) {
   return drained;
 }
 
+Status OrderingPipeline::feed_sorter(Shard& shard) {
+  Status first = Status::ok();
+  while (shard.input.try_pop_n(shard.scratch, kShardPopChunk) != 0) {
+    for (sensors::Record& record : shard.scratch) {
+      Status st = shard.sorter->push(std::move(record));
+      if (!st && first) first = std::move(st);
+    }
+    shard.scratch.clear();
+  }
+  return first;
+}
+
 TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
   std::vector<NodeId> removals;
   {
@@ -342,12 +376,9 @@ TimeMicros OrderingPipeline::shard_cycle(Shard& shard) {
     removals.swap(shard.removals);
   }
   for (NodeId node : removals) (void)remove_pending(shard, node);
-  sensors::Record record;
-  while (shard.input.try_pop(record)) {
-    Status st = shard.sorter->push(std::move(record));
-    if (!st) {
-      BRISK_LOG_WARN << "shard sorter push failed: " << st.to_string();
-    }
+  Status st = feed_sorter(shard);
+  if (!st) {
+    BRISK_LOG_WARN << "shard sorter push failed: " << st.to_string();
   }
   // The promise is taken from the time and frame this service pass uses:
   // everything at or below now - T leaves the sorter in it, so future
@@ -488,12 +519,15 @@ void OrderingPipeline::merge_step() {
           if (wm < bound) bound = wm;
         }
       }
-      if (merged_any_ && record.timestamp < last_merged_ts_) {
+      if (merged_any_ &&
+          key_less(record.timestamp, record.node, prev_merged_ts_, prev_merged_node_)) {
         merge_inversions_.fetch_add(1, std::memory_order_relaxed);
       }
       if (!merged_any_ || record.timestamp > last_merged_ts_) {
         last_merged_ts_ = record.timestamp;
       }
+      prev_merged_ts_ = record.timestamp;
+      prev_merged_node_ = record.node;
       merged_any_ = true;
       deliver(std::move(record));
       progressed = true;

@@ -82,9 +82,10 @@ struct PipelineConfig {
 struct PipelineStats {
   std::uint64_t submitted = 0;         // records entering the pipeline
   std::uint64_t merged = 0;            // records through the k-way merge
-  /// Merged record below the merge high-water timestamp: a shard violated
-  /// its watermark (a genuinely late record — the shard's own order check
-  /// already raised its T for it).
+  /// Merged record that sorts below the record merged just before it, by
+  /// (timestamp, node): a shard violated its watermark (a genuinely late
+  /// record — the shard's own order check already raised its T for it).
+  /// One early outlier counts once, not once per later record below it.
   std::uint64_t merge_inversions = 0;
   /// Release runs through the k-way merge: each run amortises one watermark
   /// scan over merged/merge_runs records (see merge_step).
@@ -122,9 +123,15 @@ class OrderingPipeline {
   OrderingPipeline(const OrderingPipeline&) = delete;
   OrderingPipeline& operator=(const OrderingPipeline&) = delete;
 
-  /// Routes one admitted record to its shard (ordering thread only). A full
-  /// shard lane spins (counted in submit_stalls) — the shard workers always
-  /// drain, so this is bounded backpressure, not deadlock.
+  /// Routes one admitted batch — `node`'s records, in arrival order — to
+  /// the node's shard (ordering thread only), moving them out of `records`:
+  /// one submitted-count bump, bulk lane pushes and one shard wakeup per
+  /// batch; without workers, one sorter lock per batch. A full shard lane
+  /// spins (counted once per batch in submit_stalls) — the shard workers
+  /// always drain, so this is bounded backpressure, not deadlock. Every
+  /// record is routed even if one fails; the first failure is returned.
+  Status submit_run(NodeId node, std::span<sensors::Record> records);
+  /// The one-record case of submit_run.
   Status submit(sensors::Record record);
 
   /// Ordering-thread idle hook. Without worker threads it does their work
@@ -248,6 +255,10 @@ class OrderingPipeline {
   /// Drains `node`'s pending records out of band. Requires the shard's
   /// state mutex.
   std::size_t remove_pending(Shard& shard, NodeId node);
+  /// Moves everything on the shard's input lane into its sorter, in bulk
+  /// chunks through the shard's scratch. Requires the shard's state mutex.
+  /// Returns the first push failure (every record is still pushed).
+  Status feed_sorter(Shard& shard);
   void shard_emit(Shard& shard, sensors::Record record);
   /// Appends to the shard's output lane, or to its spill behind it. A
   /// worker spins on a full lane; without workers the caller is also the
@@ -298,7 +309,13 @@ class OrderingPipeline {
   std::mutex merger_mutex_;
   /// Cached lane heads: popped but not yet released by the watermark gate.
   std::vector<std::optional<ShardOutput>> heads_;
+  /// High-water timestamp of the merge: what the release watermark
+  /// publishes.
   TimeMicros last_merged_ts_ = 0;
+  /// Key of the record merged last, which the next one is checked against
+  /// for merge_inversions.
+  TimeMicros prev_merged_ts_ = 0;
+  NodeId prev_merged_node_ = 0;
   bool merged_any_ = false;
   /// Atomic mirror of last_merged_ts_ for cross-thread readers, published
   /// by hand_over() (see release_watermark()).

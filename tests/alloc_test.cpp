@@ -6,7 +6,9 @@
 //   - ShmSink::accept: 0 allocations per record, like a NOTICE;
 //   - ConsumerGateway::accept_run into a ShmSink: 0 per run of 256 records;
 //   - encode_native / encode_output_record: exactly 1 (the result buffer);
-//   - a gateway SUB_DATA frame: at most 2 (the shared block and its bytes).
+//   - a gateway SUB_DATA frame: at most 2 (the shared block and its bytes);
+//   - OrderingPipeline::submit_run of a 256-record batch into a shard
+//     worker's lane: 0 on the ordering thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "clock/clock.hpp"
 #include "ism/gateway.hpp"
 #include "ism/output.hpp"
+#include "ism/pipeline.hpp"
 #include "ring_memory.hpp"
 #include "sensors/record_codec.hpp"
 #include "shm/ring_buffer.hpp"
@@ -95,6 +99,7 @@ class CountingAllocatorTest : public ::testing::Test {
 };
 using AllocCountTest = CountingAllocatorTest;
 using OutputAllocTest = CountingAllocatorTest;
+using IngressAllocTest = CountingAllocatorTest;
 
 Record plain_record() {
   Record record;
@@ -251,6 +256,41 @@ TEST_F(OutputAllocTest, GatewayDataFrameMakesAtMostTwoAllocations) {
     ASSERT_NE(frame, nullptr);
     EXPECT_LE(n.calls, 2u) << record.to_string();
   }
+}
+
+// The ordering thread's hand-off of one admitted batch to a shard worker:
+// bulk moves into the shard's lane, one count bump, one wakeup.
+TEST_F(IngressAllocTest, SubmitRunMakesNoHeapAllocationOnTheOrderingThread) {
+  constexpr std::size_t kRun = 256;
+  constexpr int kRounds = 4;
+  clk::ManualClock clock(plain_record().timestamp);
+  PipelineConfig config;
+  config.shards = 2;
+  config.sorter.initial_frame_us = 1'000'000;  // hold everything until drain
+  std::atomic<std::size_t> delivered{0};
+  OrderingPipeline pipeline(
+      config, clock,
+      OrderingPipeline::RunSinkFn([&](std::span<const Record> run) { delivered += run.size(); }),
+      [] {}, [] {});
+  ASSERT_TRUE(pipeline.threaded());
+  std::vector<Record> batch;
+  batch.reserve(kRun);
+  for (int round = 0; round < kRounds; ++round) {
+    batch.clear();
+    for (std::size_t i = 0; i < kRun; ++i) {
+      Record record = plain_record();
+      record.timestamp += static_cast<TimeMicros>(round * kRun + i);
+      batch.push_back(std::move(record));
+    }
+    Status st;
+    const AllocCount n = count_allocs([&] { st = pipeline.submit_run(3, batch); });
+    ASSERT_TRUE(st.is_ok());
+    EXPECT_EQ(n.calls, 0u) << "round " << round;
+    EXPECT_EQ(n.bytes, 0u);
+  }
+  ASSERT_TRUE(pipeline.drain());
+  EXPECT_EQ(delivered.load(), kRounds * kRun);
+  EXPECT_EQ(pipeline.stats().submitted, kRounds * kRun);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time_util.hpp"
@@ -28,23 +29,51 @@ namespace {
 
 using sensors::x_i32;
 
+/// A spawned daemon. Whatever way the test leaves — a failed ASSERT
+/// included — the destructor stops and reaps the child, so no orphan keeps
+/// the test's output pipe open and ctest waiting on it.
 struct ChildProcess {
   pid_t pid = -1;
   int stdout_fd = -1;
 
-  /// SIGTERMs the child and reaps it; returns the wait status. A child
-  /// that has already exited keeps its own status.
+  ChildProcess() = default;
+  ChildProcess(ChildProcess&& other) noexcept
+      : pid(std::exchange(other.pid, -1)), stdout_fd(std::exchange(other.stdout_fd, -1)) {}
+  ChildProcess(const ChildProcess&) = delete;
+  ChildProcess& operator=(const ChildProcess&) = delete;
+  ChildProcess& operator=(ChildProcess&&) = delete;
+  ~ChildProcess() { (void)terminate_and_wait(); }
+
+  /// SIGTERMs the child and reaps it, SIGKILLing it if it has not exited
+  /// within two seconds; returns the wait status. A child that has already
+  /// exited keeps its own status.
   int terminate_and_wait() {
-    if (pid <= 0) return 0;
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    pid = -1;
+    if (pid > 0) {
+      ::kill(pid, SIGTERM);
+      int status = 0;
+      const TimeMicros deadline = monotonic_micros() + 2'000'000;
+      pid_t reaped = ::waitpid(pid, &status, WNOHANG);
+      while (reaped == 0 && monotonic_micros() < deadline) {
+        sleep_micros(10'000);
+        reaped = ::waitpid(pid, &status, WNOHANG);
+      }
+      if (reaped == 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &status, 0);
+      }
+      pid = -1;
+      close_stdout();
+      return status;
+    }
+    close_stdout();
+    return 0;
+  }
+
+  void close_stdout() {
     if (stdout_fd >= 0) {
       ::close(stdout_fd);
       stdout_fd = -1;
     }
-    return status;
   }
 };
 
@@ -153,7 +182,7 @@ TEST(AppsTest, ThreeExecutableDeployment) {
   int status = 0;
   ASSERT_EQ(::waitpid(consume.pid, &status, 0), consume.pid);
   consume.pid = -1;
-  ::close(consume.stdout_fd);
+  consume.close_stdout();
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 

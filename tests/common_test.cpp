@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/byte_buffer.hpp"
 #include "common/error.hpp"
@@ -370,6 +372,100 @@ TEST(SpscQueueTest, ConcurrentProducerConsumerPreservesOrder) {
     ++expected;
   }
   producer.join();
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(SpscQueueTest, BulkPushPopAcrossTheWrapAround) {
+  SpscQueue<int> queue(8);
+  std::vector<int> out;
+  // Move both cursors to 6, so the next chunks straddle the end of the slots.
+  std::vector<int> first{0, 1, 2, 3, 4, 5};
+  ASSERT_EQ(queue.try_push_n(std::span<int>(first)), 6u);
+  ASSERT_EQ(queue.try_pop_n(out, 6), 6u);
+  out.clear();
+  std::vector<int> values{10, 11, 12, 13, 14, 15, 16};
+  ASSERT_EQ(queue.try_push_n(std::span<int>(values)), 7u);
+  EXPECT_EQ(queue.size(), 7u);
+  EXPECT_EQ(queue.try_pop_n(out, 3), 3u);
+  EXPECT_EQ(queue.try_pop_n(out, 4), 4u);
+  EXPECT_EQ(out, (std::vector<int>{10, 11, 12, 13, 14, 15, 16}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(SpscQueueTest, BulkPushIntoANearlyFullLaneMovesWhatFits) {
+  SpscQueue<std::unique_ptr<int>> queue(4);
+  ASSERT_TRUE(queue.try_push(std::make_unique<int>(0)));
+  ASSERT_TRUE(queue.try_push(std::make_unique<int>(1)));
+  std::vector<std::unique_ptr<int>> values;
+  for (int i = 2; i < 6; ++i) values.push_back(std::make_unique<int>(i));
+  EXPECT_EQ(queue.try_push_n(std::span(values)), 2u) << "two free slots";
+  EXPECT_EQ(values[0], nullptr);
+  EXPECT_EQ(values[1], nullptr);
+  ASSERT_NE(values[2], nullptr) << "what did not fit is untouched";
+  EXPECT_EQ(*values[2], 4);
+  EXPECT_EQ(queue.try_push_n(std::span(values).subspan(2)), 0u) << "full";
+  std::vector<std::unique_ptr<int>> out;
+  ASSERT_EQ(queue.try_pop_n(out, 1), 1u);
+  EXPECT_EQ(queue.try_push_n(std::span(values).subspan(2)), 1u)
+      << "the producer sees the freed slot once its cached copy says full";
+  ASSERT_EQ(queue.try_pop_n(out, 4), 4u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(*out[std::size_t(i)], i);
+}
+
+TEST(SpscQueueTest, BulkPopAskingForMoreThanTheLaneHolds) {
+  SpscQueue<int> queue(16);
+  std::vector<int> out{-1};
+  EXPECT_EQ(queue.try_pop_n(out, 8), 0u) << "empty";
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.try_push(int(i)));
+  EXPECT_EQ(queue.try_pop_n(out, 100), 3u);
+  EXPECT_EQ(out, (std::vector<int>{-1, 0, 1, 2})) << "appended behind what was there";
+  EXPECT_EQ(queue.try_pop_n(out, 100), 0u);
+  ASSERT_TRUE(queue.try_push(7));
+  int single = 0;
+  ASSERT_TRUE(queue.try_pop(single)) << "the consumer sees a push made after it found empty";
+  EXPECT_EQ(single, 7);
+}
+
+// Two threads, a small lane and chunk sizes that never line up with the
+// capacity: every element arrives once, in order.
+TEST(SpscQueueTest, ConcurrentBulkProducerConsumerPreservesOrder) {
+  constexpr std::uint64_t kCount = 200'000;
+  SpscQueue<std::uint64_t> queue(16);
+  std::thread producer([&] {
+    std::vector<std::uint64_t> chunk;
+    std::uint64_t next = 0;
+    std::size_t want = 1;
+    while (next < kCount) {
+      chunk.clear();
+      for (std::size_t i = 0; i < want && next + i < kCount; ++i) chunk.push_back(next + i);
+      std::size_t pushed = 0;
+      while (pushed < chunk.size()) {
+        const std::size_t n = queue.try_push_n(std::span(chunk).subspan(pushed));
+        if (n == 0) std::this_thread::yield();
+        pushed += n;
+      }
+      next += chunk.size();
+      want = want % 23 + 1;
+    }
+  });
+  std::vector<std::uint64_t> out;
+  std::uint64_t expected = 0;
+  std::uint64_t misordered = 0;
+  std::size_t want = 1;
+  while (expected < kCount) {
+    out.clear();
+    if (queue.try_pop_n(out, want) == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    for (std::uint64_t value : out) {
+      if (value != expected) ++misordered;
+      ++expected;
+    }
+    want = want % 19 + 1;
+  }
+  producer.join();
+  EXPECT_EQ(misordered, 0u);
   EXPECT_TRUE(queue.empty());
 }
 

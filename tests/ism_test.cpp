@@ -55,12 +55,12 @@ Record conseq_record(NodeId node, TimeMicros ts, CausalId id) {
 
 TEST(EventQueueTest, FifoAndCounters) {
   EventQueue queue(4);
-  queue.push(make_record(4, 100), 1'000);
-  queue.push(make_record(4, 50), 1'001);
+  queue.push(make_record(4, 100));
+  queue.push(make_record(4, 50));
   EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.front().record.timestamp, 100) << "arrival order, not ts order";
-  EXPECT_EQ(queue.pop().arrived_at, 1'000);
-  EXPECT_EQ(queue.pop().record.timestamp, 50);
+  EXPECT_EQ(queue.front().timestamp, 100) << "arrival order, not ts order";
+  EXPECT_EQ(queue.pop().timestamp, 100);
+  EXPECT_EQ(queue.pop().timestamp, 50);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -444,9 +444,9 @@ TEST_F(MergeHeapTest, MergesSortedStreams) {
   EventQueue* q0 = add_queue(0);
   EventQueue* q1 = add_queue(1);
   EventQueue* q2 = add_queue(2);
-  for (TimeMicros ts : {10, 40, 70}) q0->push(make_record(0, ts), 0);
-  for (TimeMicros ts : {20, 50, 80}) q1->push(make_record(1, ts), 0);
-  for (TimeMicros ts : {30, 60, 90}) q2->push(make_record(2, ts), 0);
+  for (TimeMicros ts : {10, 40, 70}) q0->push(make_record(0, ts));
+  for (TimeMicros ts : {20, 50, 80}) q1->push(make_record(1, ts));
+  for (TimeMicros ts : {30, 60, 90}) q2->push(make_record(2, ts));
   heap_.notify_pushed(0);
   heap_.notify_pushed(1);
   heap_.notify_pushed(2);
@@ -455,7 +455,7 @@ TEST_F(MergeHeapTest, MergesSortedStreams) {
   while (heap_.has_min()) {
     auto popped = heap_.pop_min();
     ASSERT_TRUE(popped.is_ok());
-    merged.push_back(popped.value().record.timestamp);
+    merged.push_back(popped.value().timestamp);
   }
   EXPECT_EQ(merged, (std::vector<TimeMicros>{10, 20, 30, 40, 50, 60, 70, 80, 90}));
 }
@@ -463,10 +463,10 @@ TEST_F(MergeHeapTest, MergesSortedStreams) {
 TEST_F(MergeHeapTest, MinTimestampTracksHeads) {
   EventQueue* q0 = add_queue(0);
   EventQueue* q1 = add_queue(1);
-  q0->push(make_record(0, 500), 0);
+  q0->push(make_record(0, 500));
   heap_.notify_pushed(0);
   EXPECT_EQ(heap_.min_timestamp(), 500);
-  q1->push(make_record(1, 100), 0);
+  q1->push(make_record(1, 100));
   heap_.notify_pushed(1);
   EXPECT_EQ(heap_.min_timestamp(), 100);
 }
@@ -480,8 +480,8 @@ TEST_F(MergeHeapTest, DuplicateQueueRejected) {
 TEST_F(MergeHeapTest, RemoveQueueDropsItsEntry) {
   EventQueue* q0 = add_queue(0);
   EventQueue* q1 = add_queue(1);
-  q0->push(make_record(0, 10), 0);
-  q1->push(make_record(1, 20), 0);
+  q0->push(make_record(0, 10));
+  q1->push(make_record(1, 20));
   heap_.notify_pushed(0);
   heap_.notify_pushed(1);
   ASSERT_TRUE(heap_.remove_queue(0));
@@ -496,7 +496,7 @@ TEST_F(MergeHeapTest, PopOnEmptyFails) {
 
 TEST_F(MergeHeapTest, NotifyPushedIdempotent) {
   EventQueue* q0 = add_queue(0);
-  q0->push(make_record(0, 10), 0);
+  q0->push(make_record(0, 10));
   heap_.notify_pushed(0);
   heap_.notify_pushed(0);
   heap_.notify_pushed(0);
@@ -508,20 +508,20 @@ TEST_F(MergeHeapTest, NotifyPushedIdempotent) {
 TEST_F(MergeHeapTest, EqualTimestampsTieBreakByNode) {
   EventQueue* q0 = add_queue(2);
   EventQueue* q1 = add_queue(1);
-  q0->push(make_record(2, 100), 0);
-  q1->push(make_record(1, 100), 0);
+  q0->push(make_record(2, 100));
+  q1->push(make_record(1, 100));
   heap_.notify_pushed(2);
   heap_.notify_pushed(1);
   auto first = heap_.pop_min();
   ASSERT_TRUE(first.is_ok());
-  EXPECT_EQ(first.value().record.node, 1u) << "deterministic tie break by node id";
+  EXPECT_EQ(first.value().node, 1u) << "deterministic tie break by node id";
 }
 
 TEST_F(MergeHeapTest, PendingCountsAllQueues) {
   EventQueue* q0 = add_queue(0);
   EventQueue* q1 = add_queue(1);
-  for (int i = 0; i < 3; ++i) q0->push(make_record(0, i), 0);
-  q1->push(make_record(1, 9), 0);
+  for (int i = 0; i < 3; ++i) q0->push(make_record(0, i));
+  q1->push(make_record(1, 9));
   EXPECT_EQ(heap_.pending(), 4u);
 }
 
@@ -1336,6 +1336,98 @@ TEST(OrderingPipelineTest, ShardWatermarkPromisesOnlyWhatItsServicePassReleased)
   const std::vector<std::pair<TimeMicros, NodeId>> expected{{1'000'500, 1}, {1'000'800, 50}};
   EXPECT_EQ(keys, expected);
   EXPECT_EQ(pipeline.stats().merge_inversions, 0u);
+}
+
+// merge_inversions counts a merged record that sorts below the one merged
+// just before it, as perfbench's checker does. A lane that breaks its
+// promise with one early outlier followed by three in-order records below
+// it is one inversion, not three: the three are in order with each other.
+TEST(OrderingPipelineTest, MergeInversionCountsOneEarlyOutlierOnce) {
+  clk::ManualClock clock(2'000'000);
+  PipelineConfig config;
+  config.sorter.initial_frame_us = 10'000;
+  config.sorter.adaptive = false;
+  PipelineCapture capture;
+  OrderingPipeline pipeline(config, clock, capture.sink(), capture.flush(),
+                            capture.on_tachyon());
+  const std::size_t lane = pipeline.add_relay_lane(nullptr);
+  std::vector<Record> relay;
+  for (TimeMicros ts : {1'000'400, 1'000'100, 1'000'200, 1'000'300}) {
+    relay.push_back(make_record(50, ts));
+  }
+  ASSERT_TRUE(pipeline.submit_relay(lane, std::move(relay), 1'000'400));
+  pipeline.service();
+  const auto keys = keys_of(capture.snapshot());
+  ASSERT_EQ(keys.size(), 4u);
+  EXPECT_EQ(keys[0].first, 1'000'400) << "the lane's order is kept; the merge only counts";
+  EXPECT_EQ(pipeline.stats().merge_inversions, 1u);
+  EXPECT_EQ(pipeline.release_watermark(), 1'000'400)
+      << "the release watermark stays the merge's high-water";
+}
+
+// Ism::handle_batch hands each admitted batch to the pipeline as one run,
+// with token-bucket drops compacted out in place. Whatever the shard count,
+// the run must produce exactly the stream — records, order, trace stamps —
+// that per-record submits of the same admitted records produce.
+TEST(OrderingPipelineTest, SubmitRunMatchesPerRecordSubmit) {
+  constexpr TimeMicros kBase = 1'000'000;
+  constexpr int kRecords = 8;
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    auto run = [&](bool as_run) {
+      clk::ManualClock clock(kBase);
+      PipelineConfig config;
+      config.shards = shards;
+      config.sorter.initial_frame_us = 1'000'000;  // hold everything until drain
+      config.sorter.adaptive = false;
+      PipelineCapture capture;
+      OrderingPipeline pipeline(config, clock, capture.sink(), capture.flush(),
+                                capture.on_tachyon());
+      std::uint64_t dropped = 0;
+      for (NodeId node : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+        std::vector<Record> batch;
+        for (int i = 0; i < kRecords; ++i) {
+          batch.push_back(make_record(node, kBase + 10 + i * 3 + TimeMicros(node)));
+        }
+        batch[2].trace = sensors::TraceAnnotation{node, {}};
+        // One token per 10 µs, burst 1: the record read after only 5 µs
+        // finds half a token and is dropped, mid-batch.
+        TokenBucket bucket(100'000.0, 1.0);
+        TimeMicros at = 0;
+        std::size_t admitted = 0;
+        for (int i = 0; i < kRecords; ++i) {
+          at += i == 4 ? 5 : 10;
+          if (!bucket.admit(at)) {
+            ++dropped;
+            continue;
+          }
+          if (admitted != std::size_t(i)) batch[admitted] = std::move(batch[std::size_t(i)]);
+          ++admitted;
+        }
+        if (as_run) {
+          EXPECT_TRUE(pipeline.submit_run(node, std::span(batch.data(), admitted)));
+        } else {
+          for (std::size_t i = 0; i < admitted; ++i) {
+            EXPECT_TRUE(pipeline.submit(std::move(batch[i])));
+          }
+        }
+      }
+      EXPECT_EQ(dropped, 3u) << "one drop per batch";
+      EXPECT_EQ(pipeline.stats().submitted, 3u * (kRecords - 1));
+      EXPECT_TRUE(pipeline.drain());  // flushes every sorter, due or not
+      return capture.snapshot();
+    };
+    const std::vector<Record> per_record = run(false);
+    const std::vector<Record> as_run = run(true);
+    ASSERT_EQ(per_record.size(), 3u * (kRecords - 1)) << shards << " shards";
+    EXPECT_EQ(as_run, per_record) << shards << " shards";
+    std::size_t traced = 0;
+    for (const Record& r : as_run) {
+      if (!r.trace) continue;
+      ++traced;
+      EXPECT_NE(r.trace->find(sensors::TraceStage::sorter_release), nullptr);
+    }
+    EXPECT_EQ(traced, 3u) << shards << " shards";
+  }
 }
 
 // The pipeline hands its sink runs, not records. Whatever the shard count,
