@@ -57,19 +57,21 @@
 #      the flag layer and knob tables (member-pointer paths and setters
 #      run on every daemon start) with the daemon binaries they generate,
 #      and the pipeline and gateway run hand-over tests (sinks read spans
-#      over the pipeline's scratch)
+#      over the pipeline's scratch), and the shm ring and slot directory
+#      suites (header layout, handles with cached cursors, staged runs)
 #  12. tsan: a TSan tree over the threaded ingest/ordering/metrics/trace
 #      tests plus the window-update and ack-cadence tests, the session
 #      table, the flow-control property suite, the consumer-gateway
 #      suite, the federation suite (relay lanes, reader migration,
 #      two-hop sync, metrics aggregation, relay reconnect + replay), the
 #      upstream client suite, and the flight-recorder and health-rollup
-#      suites — the cross-thread stats counters, the credit
+#      suites, and the shm ring's two-thread stress test — the
+#      cross-thread stats counters, the credit
 #      drained-record cells and their regrant marks and wakeups (bumped on
 #      the merger thread while the session table publishes, re-arms and
 #      retires them), the relay lane cells, the threaded
-#      close path, and the gateway's fan-out thread must stay clean on the
-#      whole grid
+#      close path, the gateway's fan-out thread, and the ring's cursors
+#      and staged publishes must stay clean on the whole grid
 #
 # Usage: ./ci.sh [--skip-sanitize]
 set -euo pipefail
@@ -540,15 +542,16 @@ ctest --test-dir build-asan --output-on-failure -L resilience
 # drained cells and regrant marks with the loopback window-update and
 # ack-cadence tests that drive them through a live ISM; the flag layer
 # and knob tables, whose rows store member-pointer paths and setters; the
-# run hand-over, whose sinks read spans over the pipeline's scratch; and the
-# batch hand-off into the shard lanes (IngressAllocTest).
+# run hand-over, whose sinks read spans over the pipeline's scratch; the
+# batch hand-off into the shard lanes (IngressAllocTest); and the shm ring and
+# slot directory, whose handles cache the peer cursor.
 ctest --test-dir build-asan --output-on-failure --no-tests=error \
-  -R 'AllocCountTest|OutputAllocTest|IngressAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest|OrderingPipelineTest|GatewayTest'
+  -R 'AllocCountTest|OutputAllocTest|IngressAllocTest|OutputTest|NativeCodecTest|RecordWriterTest|WriteAllWaitsOnDescriptorBeyondFdSetSize|UpstreamClient|SpscQueue|SessionTable|IsmWindowUpdate|IsmAckCadence|FlagRegistry|FlagParser|Knob|DescribeRendersKnobs|AppsTest|OrderingPipelineTest|GatewayTest|RingBuffer|MultiRing'
 
-echo "==> [12/12] TSan build + SPSC lane/ingest/ordering/metrics/trace/gateway/federation tests"
+echo "==> [12/12] TSan build + SPSC lane/shm ring/ingest/ordering/metrics/trace/gateway/federation tests"
 cmake -B build-tsan -S . -DBRISK_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 ctest --test-dir build-tsan --output-on-failure --no-tests=error -j"$JOBS" \
-  -R 'SpscQueue|IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|UpstreamClient'
+  -R 'SpscQueue|IsmServerTest|IsmIngestDeterminismTest|IsmWindowUpdate|IsmAckCadence|IsmServerClose|SessionTable|OrderingPipelineTest|Metrics|Trace|FlowControl|CreditGrant|Gateway|RelayFederation|ReaderMigration|FederatedSync|FlightRecorder|HealthRollup|RelayAggregation|UpstreamClient|RingBuffer|MultiRing'
 
 echo "==> CI green"

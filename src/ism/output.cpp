@@ -49,13 +49,16 @@ RunResult ShmSink::accept_run(std::span<const sensors::Record> run) {
     auto encoded = encode_output_into(record, buf);
     if (!encoded) {
       if (result.status.is_ok()) result.status = encoded.status();
-    } else if (!ring_.try_push(encoded.value())) {
+    } else if (!ring_.stage(encoded.value())) {
       ++refused;
       if (result.status.is_ok()) result.status = Status(Errc::buffer_full, "output ring full");
     } else {
       ++result.accepted;
     }
   }
+  // The consumer sees the run at once: one store of head, one bump of each
+  // ring counter.
+  ring_.publish();
   if (result.accepted != 0) delivered_.fetch_add(result.accepted, std::memory_order_relaxed);
   if (refused != 0) dropped_.fetch_add(refused, std::memory_order_relaxed);
   return result;

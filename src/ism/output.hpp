@@ -65,8 +65,9 @@ class ShmSink final : public Sink {
   explicit ShmSink(shm::RingBuffer ring) : ring_(ring) {}
 
   Status accept(const sensors::Record& record) override { return accept_run({&record, 1}).status; }
-  /// Encodes and pushes each record; a record the full ring refuses counts
-  /// as dropped and the rest of the run is still tried.
+  /// Encodes and stages each record, then publishes the run to the ring at
+  /// once; a record the full ring refuses counts as dropped and the rest of
+  /// the run is still tried.
   RunResult accept_run(std::span<const sensors::Record> run) override;
   [[nodiscard]] const char* name() const noexcept override { return "shm"; }
 

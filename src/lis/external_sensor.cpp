@@ -28,6 +28,7 @@ ExsCore::ExsCore(const ExsConfig& config, shm::MultiRing rings, clk::Clock& cloc
       link_(make_link_config(config), clock, std::move(sink)),
       flight_("exs-" + std::to_string(config.node)) {
   drain_scratch_.reserve(sensors::kMaxNativeRecordBytes);
+  slots_.reserve(rings_.slot_count());
   // Window-aware flush: never build a batch the session's largest grant
   // cannot take whole (0 keeps the configured maximum — the link's progress
   // guarantee covers the rare oversized leftover). The latest grant would
@@ -76,16 +77,25 @@ Result<std::size_t> ExsCore::drain_rings() {
   ++loop_wakeups_;
   const TimeMicros correction = link_.correction();
   std::size_t drained = 0;
-  const std::uint32_t slots = rings_.claimed_slots();
+  // Slot handles live across passes so their cached cursors do; a slot
+  // claimed since the last pass gets its handle here.
+  const std::uint32_t claimed = rings_.claimed_slots();
+  while (slots_.size() < claimed) {
+    auto ring = rings_.slot(static_cast<std::uint32_t>(slots_.size()));
+    if (!ring) break;
+    slots_.push_back(ring.value());
+  }
+  // The drop total every batch carries, read once per pass.
+  std::uint64_t ring_dropped = 0;
+  for (const shm::RingBuffer& ring : slots_) ring_dropped += ring.stats().dropped;
+  batcher_.set_ring_dropped_total(ring_dropped);
   // Round-robin across slots so one chatty producer cannot starve others.
   bool progress = true;
   while (progress && drained < config_.drain_burst) {
     progress = false;
-    for (std::uint32_t i = 0; i < slots && drained < config_.drain_burst; ++i) {
-      auto ring = rings_.slot(i);
-      if (!ring) continue;
+    for (std::size_t i = 0; i < slots_.size() && drained < config_.drain_burst; ++i) {
       drain_scratch_.clear();
-      if (!ring.value().try_pop(drain_scratch_)) continue;
+      if (!slots_[i].try_pop(drain_scratch_)) continue;
       progress = true;
       ++drained;
       if (sensors::native_trace_present({drain_scratch_.data(), drain_scratch_.size()})) {
@@ -94,7 +104,6 @@ Result<std::size_t> ExsCore::drain_rings() {
         (void)sensors::stamp_native_trace(drain_scratch_, sensors::TraceStage::exs_drain,
                                           clock_.now());
       }
-      batcher_.set_ring_dropped_total(rings_.total_stats().dropped);
       Status st = batcher_.add_native_record(
           ByteSpan{drain_scratch_.data(), drain_scratch_.size()}, correction);
       if (!st) {

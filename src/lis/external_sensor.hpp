@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "clock/clock.hpp"
 #include "lis/batcher.hpp"
@@ -121,6 +122,7 @@ class ExsCore {
 
   ExsConfig config_;
   shm::MultiRing rings_;
+  std::vector<shm::RingBuffer> slots_;  // one consumer handle per claimed slot
   clk::Clock& clock_;
   Batcher batcher_;
   tp::UpstreamLink link_;

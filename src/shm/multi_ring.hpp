@@ -31,9 +31,10 @@ class MultiRing {
     std::atomic<std::uint32_t> slots_claimed;    // monotonically increasing
   };
 
-  /// Changed with the cache-line slot layout, so a region formatted by an
+  /// Changed with every slot layout (last: the ring header's per-side
+  /// lines, which changed the slot stride), so a region formatted by an
   /// older build fails attach() instead of being misread.
-  static constexpr std::uint64_t kMagic = 0x425249534b445232ULL;  // "BRISKDR2"
+  static constexpr std::uint64_t kMagic = 0x425249534b445233ULL;  // "BRISKDR3"
 
   /// Bytes from one slot ring to the next.
   static constexpr std::size_t slot_stride(std::uint32_t ring_capacity) noexcept {
@@ -56,7 +57,8 @@ class MultiRing {
   /// producer (process or thread) must claim its own slot exactly once.
   Result<RingBuffer> claim_slot();
 
-  /// Consumer side: ring of slot `index` (must be < claimed_slots()).
+  /// Consumer side: ring of slot `index` (must be < claimed_slots()). Each
+  /// call returns a fresh handle; keep it to keep its cached cursors.
   Result<RingBuffer> slot(std::uint32_t index);
 
   [[nodiscard]] std::uint32_t slot_count() const noexcept { return dir_->slot_count; }

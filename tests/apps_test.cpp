@@ -126,11 +126,27 @@ std::string read_until(ChildProcess& child, const std::string& marker,
   return output;
 }
 
+/// Unlinks named shm regions when the test leaves, whatever way it leaves —
+/// a failed ASSERT included — so no segment outlives the test. Declared
+/// before the daemons, it runs after their destructors have stopped them.
+struct UnlinkRegionsOnExit {
+  std::vector<std::string> names;
+  ~UnlinkRegionsOnExit() {
+    for (const std::string& name : names) {
+      auto region = shm::SharedRegion::open_named(name);
+      if (region.is_ok()) (void)region.value().unlink();
+    }
+  }
+};
+
 TEST(AppsTest, ThreeExecutableDeployment) {
   const std::string apps_dir = BRISK_APPS_DIR;
   const std::string suffix = std::to_string(::getpid());
   const std::string node_shm = "/brisk-apps-node-" + suffix;
   const std::string out_shm = "/brisk-apps-out-" + suffix;
+  // brisk_ism owns the output region and brisk_exs the node region; neither
+  // unlinks on SIGTERM.
+  const UnlinkRegionsOnExit unlink_on_exit{{node_shm, out_shm}};
 
   // --- brisk_ism -------------------------------------------------------------
   ChildProcess ism = spawn(apps_dir + "/brisk_ism",
@@ -204,11 +220,6 @@ TEST(AppsTest, ThreeExecutableDeployment) {
             std::string::npos)
       << summary;
   ism.terminate_and_wait();
-  (void)shm::SharedRegion::open_named(node_shm).value().unlink();
-  // brisk_ism owns the output region; it does not unlink on SIGTERM, so
-  // clean up here to keep the namespace tidy across test runs.
-  auto out_region = shm::SharedRegion::open_named(out_shm);
-  if (out_region.is_ok()) (void)out_region.value().unlink();
 }
 
 // Bad option values are usage errors: exit 2 before anything binds or

@@ -366,6 +366,39 @@ TEST_F(ExsCoreTest, RoundRobinAcrossChattySlots) {
   EXPECT_TRUE(saw_quiet) << "round-robin must reach the quiet slot within one burst";
 }
 
+// The node's ring-drop total rides in every batch header. The EXS reads it
+// once per drain pass, before popping, so a batch sealed after the drops
+// carries them.
+TEST_F(ExsCoreTest, BatchSealedAfterRingDropsCarriesTheDropTotal) {
+  auto ring = rings_.claim_slot();
+  ASSERT_TRUE(ring.is_ok());
+  sensors::Sensor sensor(ring.value(), clock_);
+  std::uint64_t noticed = 0;
+  std::uint64_t dropped = 0;
+  while (dropped < 3) {
+    if (sensor.notice(1, sensors::x_i32(static_cast<std::int32_t>(noticed)))) {
+      ++noticed;
+    } else {
+      ++dropped;
+    }
+  }
+  for (;;) {
+    auto drained = core_->drain_rings();
+    ASSERT_TRUE(drained.is_ok());
+    if (drained.value() == 0) break;
+  }
+  ASSERT_TRUE(core_->flush());
+  const auto batches = sent_batches();
+  ASSERT_FALSE(batches.empty());
+  std::uint64_t records = 0;
+  for (const tp::Batch& batch : batches) {
+    EXPECT_EQ(batch.header.ring_dropped_total, dropped);
+    records += batch.records.size();
+  }
+  EXPECT_EQ(records, noticed);
+  EXPECT_EQ(core_->stats().ring_drops_seen, dropped);
+}
+
 // ---- ExsCore::next_wait_us ----------------------------------------------------------
 
 /// The loop's wait rule on a simulated node clock: every wait below follows

@@ -1,10 +1,13 @@
 // Shared-memory substrate tests: SharedRegion lifetimes, RingBuffer SPSC
-// semantics (wrap handling, drop-new overflow, concurrent producer/consumer,
+// semantics (header layout, wrap handling, drop-new overflow, cached peer
+// cursors across handles, staged runs, concurrent producer/consumer,
 // cross-fork visibility), MultiRing slot discipline.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -76,6 +79,22 @@ TEST(SharedRegionTest, MoveTransfersOwnership) {
 }
 
 // ---- RingBuffer ------------------------------------------------------------------
+
+// Each side's cursor and counters share one cache line that the other side
+// writes nothing to.
+constexpr std::size_t line_of(std::size_t offset) { return offset / 64; }
+using Header = RingBuffer::Header;
+static_assert(offsetof(Header, tail) - offsetof(Header, head) == 64,
+              "head and tail sit one cache line apart");
+static_assert(offsetof(Header, head) % 64 == 0 && offsetof(Header, tail) % 64 == 0);
+static_assert(line_of(offsetof(Header, pushed)) == line_of(offsetof(Header, head)) &&
+                  line_of(offsetof(Header, bytes_pushed)) == line_of(offsetof(Header, head)) &&
+                  line_of(offsetof(Header, dropped)) == line_of(offsetof(Header, head)),
+              "the producer's counters sit on the producer's line");
+static_assert(line_of(offsetof(Header, popped)) == line_of(offsetof(Header, tail)),
+              "the consumer's counter sits on the consumer's line");
+static_assert(line_of(offsetof(Header, capacity)) != line_of(offsetof(Header, head)),
+              "the read-only words share no line with a cursor");
 
 class RingBufferTest : public ::testing::Test {
  protected:
@@ -229,40 +248,229 @@ TEST_F(RingBufferTest, InitRejectsTinyCapacity) {
   EXPECT_EQ(RingBuffer::init(mem.data(), 16).status().code(), Errc::invalid_argument);
 }
 
-TEST_F(RingBufferTest, ConcurrentProducerConsumer) {
-  make_ring(8192);
-  constexpr int kRecords = 200'000;
-  std::atomic<bool> done{false};
-  std::uint64_t consumed = 0;
-  std::uint64_t checksum = 0;
+// The header of the build before the per-side lines ("BRISKRNG"): a ring
+// formatted by it must not attach.
+TEST_F(RingBufferTest, AttachRejectsThePreviousHeaderMagic) {
+  make_ring(256);
+  constexpr std::uint64_t kPreviousMagic = 0x425249534b524e47ULL;
+  std::memcpy(memory_.data(), &kPreviousMagic, sizeof kPreviousMagic);
+  EXPECT_EQ(RingBuffer::attach(memory_.data(), memory_.size()).status().code(),
+            Errc::malformed);
+}
 
-  std::thread consumer([&] {
-    std::vector<std::uint8_t> out;
-    while (!done.load(std::memory_order_acquire) || !ring_.empty()) {
-      out.clear();
-      if (ring_.try_pop(out)) {
-        ++consumed;
-        checksum += out[0];
+/// A record that names its own sequence number: a u32 sequence, then a
+/// length and filler bytes that both follow from it.
+std::vector<std::uint8_t> sequenced_record(std::uint32_t seq) {
+  std::vector<std::uint8_t> record(sizeof seq + seq % 37, static_cast<std::uint8_t>(seq * 7));
+  std::memcpy(record.data(), &seq, sizeof seq);
+  return record;
+}
+
+/// Whether `out` is exactly sequenced_record(seq).
+bool is_sequenced_record(const std::vector<std::uint8_t>& out, std::uint32_t seq) {
+  return out == sequenced_record(seq);
+}
+
+/// Several handles over one ring, as the EXS, the sensors and the sinks
+/// hold them: each keeps its own copy of the peer cursor.
+class RingBufferHandlesTest : public RingBufferTest {
+ protected:
+  RingBuffer handle() {
+    auto ring = RingBuffer::attach(memory_.data(), memory_.size());
+    EXPECT_TRUE(ring.is_ok());
+    return ring.value();
+  }
+  bool push(RingBuffer& ring) {
+    if (!ring.try_push(span_of(sequenced_record(next_push_)))) return false;
+    ++next_push_;
+    return true;
+  }
+  bool pop(RingBuffer& ring) {
+    out_.clear();
+    if (!ring.try_pop(out_)) return false;
+    EXPECT_TRUE(is_sequenced_record(out_, next_pop_)) << "record " << next_pop_;
+    ++next_pop_;
+    return true;
+  }
+  std::uint32_t next_push_ = 0;
+  std::uint32_t next_pop_ = 0;
+  std::vector<std::uint8_t> out_;
+};
+
+TEST_F(RingBufferHandlesTest, TwoHandlesPerSideTakeTurnsThroughManyWraps) {
+  make_ring(256);
+  RingBuffer producers[] = {handle(), handle()};
+  RingBuffer consumers[] = {handle(), handle()};
+  for (int round = 0; round < 4000; ++round) {
+    RingBuffer& producer = producers[(round / 3) % 2];
+    RingBuffer& consumer = consumers[(round / 5) % 2];
+    for (int i = 0; i <= round % 7 && push(producer); ++i) {
+    }
+    for (int i = 0; i <= round % 6 && pop(consumer); ++i) {
+    }
+  }
+  while (pop(consumers[next_pop_ % 2])) {
+  }
+  EXPECT_EQ(next_pop_, next_push_);
+  EXPECT_GT(ring_.stats().bytes_pushed, 200u * 256) << "the records must wrap many times";
+  EXPECT_EQ(ring_.stats().popped, next_pop_);
+}
+
+// A producer handle idle while another pushed and the consumer popped for
+// many laps holds a copy of tail more than a capacity behind head. On a full
+// ring it must reload and refuse, not overwrite unread records.
+TEST_F(RingBufferHandlesTest, ProducerCacheAFullLapBehindReloads) {
+  make_ring(256);
+  RingBuffer stale = handle();
+  RingBuffer producer = handle();
+  RingBuffer consumer = handle();
+  ASSERT_TRUE(push(stale));
+  ASSERT_TRUE(pop(consumer));
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(push(producer));
+    ASSERT_TRUE(pop(consumer));
+  }
+  while (push(producer)) {
+  }
+  const std::uint64_t dropped = ring_.stats().dropped;
+  ASSERT_FALSE(push(stale)) << "the ring is full";
+  EXPECT_EQ(ring_.stats().dropped, dropped + 1);
+  while (pop(consumer)) {
+  }
+  EXPECT_EQ(next_pop_, next_push_);
+  EXPECT_TRUE(push(stale)) << "after the drain the stale handle has room again";
+  EXPECT_TRUE(pop(consumer));
+}
+
+// A consumer handle whose copy of head another consumer handle has popped
+// past must reload, not read beyond head.
+TEST_F(RingBufferHandlesTest, ConsumerCacheOvertakenByAnotherHandleReloads) {
+  make_ring(256);
+  RingBuffer producer = handle();
+  RingBuffer stale = handle();
+  RingBuffer consumer = handle();
+  ASSERT_TRUE(push(producer));
+  ASSERT_TRUE(pop(stale));  // its copy of head now equals the shared tail
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(push(producer));
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(pop(consumer));
+  ASSERT_FALSE(pop(consumer)) << "the ring is empty";
+  ASSERT_FALSE(pop(stale)) << "the ring is empty";
+  EXPECT_EQ(ring_.stats().popped, next_pop_);
+  ASSERT_TRUE(push(producer));
+  EXPECT_TRUE(pop(stale));
+}
+
+// stage() writes behind head; publish() makes the run visible at once and
+// moves each counter once.
+TEST_F(RingBufferTest, StagedRunStaysInvisibleUntilPublished) {
+  make_ring(1024);
+  auto consumer = RingBuffer::attach(memory_.data(), memory_.size());
+  ASSERT_TRUE(consumer.is_ok());
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    ASSERT_TRUE(ring_.stage(span_of(sequenced_record(seq))));
+  }
+  std::vector<std::uint8_t> out;
+  EXPECT_TRUE(consumer.value().empty());
+  EXPECT_FALSE(consumer.value().try_pop(out));
+  EXPECT_EQ(ring_.stats().pushed, 0u);
+  EXPECT_EQ(ring_.stats().bytes_pushed, 0u);
+
+  ring_.publish();
+  const RingStats stats = ring_.stats();
+  EXPECT_EQ(stats.pushed, 3u);
+  EXPECT_EQ(stats.bytes_pushed, 3 * 4u + 0 + 1 + 2);
+  EXPECT_EQ(stats.dropped, 0u);
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    out.clear();
+    ASSERT_TRUE(consumer.value().try_pop(out));
+    EXPECT_TRUE(is_sequenced_record(out, seq));
+  }
+  ring_.publish();  // nothing staged: nothing moves
+  EXPECT_EQ(ring_.stats().pushed, 3u);
+  EXPECT_TRUE(consumer.value().empty());
+}
+
+// A record the ring refuses mid-run leaves the records staged before it in
+// place; the next publish() shows them and counts the drop.
+TEST_F(RingBufferTest, RefusalMidRunStillPublishesTheRecordsBeforeIt) {
+  make_ring(128);
+  const auto big = make_record(40, 0xb1);    // 44 ring bytes
+  const auto small = make_record(10, 0x5a);  // 14 ring bytes
+  ASSERT_TRUE(ring_.stage(span_of(big)));
+  ASSERT_TRUE(ring_.stage(span_of(big)));
+  EXPECT_FALSE(ring_.stage(span_of(big))) << "40 bytes left before the end, nothing after it";
+  EXPECT_TRUE(ring_.stage(span_of(small))) << "a shorter record still fits";
+  EXPECT_EQ(ring_.stats().dropped, 0u) << "the drop is counted at publish()";
+  ring_.publish();
+  const RingStats stats = ring_.stats();
+  EXPECT_EQ(stats.pushed, 3u);
+  EXPECT_EQ(stats.bytes_pushed, 90u);
+  EXPECT_EQ(stats.dropped, 1u);
+  std::vector<std::uint8_t> out;
+  for (const auto* expected : {&big, &big, &small}) {
+    out.clear();
+    ASSERT_TRUE(ring_.try_pop(out));
+    EXPECT_EQ(out, *expected);
+  }
+  EXPECT_FALSE(ring_.try_pop(out));
+}
+
+// Stress: one producer and one consumer thread over a small ring. Records of
+// varying length wrap the ring many times; the producer alternates single
+// pushes with staged runs, and both sides yield when the ring is full or
+// empty. Every record arrives once, in order, byte for byte.
+TEST_F(RingBufferTest, ConcurrentProducerConsumer) {
+  make_ring(1024);
+  constexpr std::uint32_t kRecords = 200'000;
+  auto consumer_ring = RingBuffer::attach(memory_.data(), memory_.size());
+  ASSERT_TRUE(consumer_ring.is_ok());
+  std::uint64_t refusals = 0;
+
+  std::thread producer([&] {
+    std::uint32_t seq = 0;
+    while (seq < kRecords) {
+      if (seq / 64 % 2 == 0) {
+        if (ring_.try_push(span_of(sequenced_record(seq)))) {
+          ++seq;
+        } else {
+          ++refusals;
+          std::this_thread::yield();
+        }
+        continue;
+      }
+      // A staged run of up to 8 records, published once; a refusal ends it.
+      const std::uint32_t end = std::min(seq + 8, kRecords);
+      while (seq < end && ring_.stage(span_of(sequenced_record(seq)))) ++seq;
+      const bool refused = seq < end;
+      ring_.publish();
+      if (refused) {
+        ++refusals;
+        std::this_thread::yield();
       }
     }
   });
 
-  std::uint64_t produced = 0;
-  std::uint64_t produced_checksum = 0;
-  for (int i = 0; i < kRecords; ++i) {
-    auto record = make_record(8 + i % 24, static_cast<std::uint8_t>(i));
-    if (ring_.try_push(span_of(record))) {
-      ++produced;
-      produced_checksum += static_cast<std::uint8_t>(i);
+  std::uint32_t expected = 0;
+  std::uint32_t mismatches = 0;
+  std::vector<std::uint8_t> out;
+  while (expected < kRecords) {
+    out.clear();
+    if (!consumer_ring.value().try_pop(out)) {
+      std::this_thread::yield();
+      continue;
     }
+    if (!is_sequenced_record(out, expected)) ++mismatches;
+    ++expected;
   }
-  done.store(true, std::memory_order_release);
-  consumer.join();
+  producer.join();
 
-  EXPECT_EQ(consumed, produced);
-  EXPECT_EQ(checksum, produced_checksum);
-  EXPECT_EQ(ring_.stats().pushed, produced);
-  EXPECT_EQ(ring_.stats().dropped + produced, static_cast<std::uint64_t>(kRecords));
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_FALSE(consumer_ring.value().try_pop(out));
+  const RingStats stats = ring_.stats();
+  EXPECT_EQ(stats.pushed, kRecords);
+  EXPECT_EQ(stats.popped, kRecords);
+  EXPECT_EQ(stats.dropped, refusals);
+  EXPECT_GT(stats.bytes_pushed, 1000u * 1024) << "the records must wrap many times";
 }
 
 TEST(RingBufferForkTest, CrossProcessTransfer) {
@@ -432,6 +640,16 @@ TEST(MultiRingTest, AttachValidates) {
   std::vector<std::uint8_t> garbage(1024, 0x13);
   EXPECT_EQ(MultiRing::attach(garbage.data(), garbage.size()).status().code(), Errc::malformed);
   EXPECT_EQ(MultiRing::attach(garbage.data(), 4).status().code(), Errc::malformed);
+}
+
+// The directory of the build before the per-side ring lines ("BRISKDR2"),
+// whose slot stride differs: it must not attach.
+TEST(MultiRingTest, AttachRejectsThePreviousDirectoryMagic) {
+  test::RingMemory memory(MultiRing::region_size(2, 256));
+  ASSERT_TRUE(MultiRing::init(memory.data(), 2, 256).is_ok());
+  constexpr std::uint64_t kPreviousMagic = 0x425249534b445232ULL;
+  std::memcpy(memory.data(), &kPreviousMagic, sizeof kPreviousMagic);
+  EXPECT_EQ(MultiRing::attach(memory.data(), memory.size()).status().code(), Errc::malformed);
 }
 
 TEST(MultiRingTest, TotalStatsAggregates) {
